@@ -363,103 +363,13 @@ void RunServeLatency(BenchJson& json) {
   table.Print(std::cout);
 }
 
-// Throughput-vs-concurrency curve for cross-request micro-batching
-// (DESIGN.md §13): closed-loop clients (each submits, waits, repeats)
-// against the same service with the batcher off and on. The batched column
-// amortizes the policy-head GEMMs across concurrent requests' beam steps,
-// so its throughput curve should flatten later as concurrency grows; on a
-// single-core machine the curve mainly shows the constant-factor effect,
-// since all stacking and all clients share one core. Answers are
-// byte-identical either way — the batch_scheduler_test suite holds that
-// line, so this harness only reports time.
-void RunBatchingConcurrency(BenchJson& json) {
-  const BenchConfig config = BenchConfig::FromEnv();
-  data::Dataset dataset = MakeDatasetByName("Beauty");
-  auto model = baselines::MakeCadrlForDataset(config.budget, "Beauty");
-  CADRL_CHECK_OK(model->Fit(dataset));
-
-  TablePrinter table(
-      "Micro-batching throughput vs concurrency: CADRL on Beauty, "
-      "closed-loop clients, batcher off vs on (max_batch=8, linger=100us)");
-  table.SetHeader({"Mode/Clients", "req/s", "p50(ms)", "p95(ms)",
-                   "mean batch", "flushes"});
-
-  constexpr int kRequestsPerClient = 24;
-  for (const bool batched : {false, true}) {
-    for (const int concurrency : {1, 2, 4, 8}) {
-      serve::ServeOptions options;
-      // Workers >= clients so queueing never caps the curve: the measured
-      // quantity is inference + (when on) staging-buffer time.
-      options.threads = std::max(4, concurrency);
-      options.queue_capacity = 1024;
-      options.batch_max = batched ? 8 : 0;
-      options.batch_linger = std::chrono::microseconds{100};
-      serve::RecommendService service(model.get(), dataset, options);
-      CADRL_CHECK_OK(service.Start());
-
-      std::vector<std::vector<double>> latencies(
-          static_cast<size_t>(concurrency));
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<std::thread> clients;
-      for (int c = 0; c < concurrency; ++c) {
-        clients.emplace_back([&, c] {
-          latencies[static_cast<size_t>(c)].reserve(kRequestsPerClient);
-          for (int i = 0; i < kRequestsPerClient; ++i) {
-            serve::ServeRequest req;
-            req.user = dataset.users[static_cast<size_t>(
-                c * kRequestsPerClient + i) % dataset.users.size()];
-            req.timeout = std::chrono::microseconds{-1};  // no deadline
-            const serve::ServeResponse resp = service.Submit(req).get();
-            latencies[static_cast<size_t>(c)].push_back(resp.latency_ms);
-          }
-        });
-      }
-      for (std::thread& t : clients) t.join();
-      const double wall_s = std::chrono::duration<double>(
-          std::chrono::steady_clock::now() - t0).count();
-      service.Stop();
-
-      std::vector<double> all;
-      for (auto& per_client : latencies) {
-        all.insert(all.end(), per_client.begin(), per_client.end());
-      }
-      const double req_per_s =
-          static_cast<double>(all.size()) / wall_s;
-      const double p50 = PercentileMs(&all, 0.50);
-      const double p95 = PercentileMs(&all, 0.95);
-      const serve::RecommendService::Stats stats = service.stats();
-      const double mean_batch =
-          stats.batch_flushes > 0
-              ? static_cast<double>(stats.batched_steps) /
-                    static_cast<double>(stats.batch_flushes)
-              : 0.0;
-
-      const std::string mode = batched ? "on" : "off";
-      table.AddRow({mode + "/c" + std::to_string(concurrency),
-                    TablePrinter::Fmt(req_per_s, 1),
-                    TablePrinter::Fmt(p50, 3), TablePrinter::Fmt(p95, 3),
-                    TablePrinter::Fmt(mean_batch, 2),
-                    std::to_string(stats.batch_flushes)});
-      const std::string key =
-          "batching/" + mode + "/c" + std::to_string(concurrency);
-      json.Set(key + "/req_per_s", req_per_s);
-      json.Set(key + "/p50_ms", p50);
-      json.Set(key + "/p95_ms", p95);
-      json.Set(key + "/mean_batch", mean_batch);
-      std::cerr << "batching / " << mode << " c=" << concurrency << " done"
-                << std::endl;
-    }
-  }
-  table.Print(std::cout);
-}
-
 // Quantized serving end to end (DESIGN.md §14): the same trained CADRL on
 // Beauty republished under f32 / f16 / int8, reporting per-section arena
 // bytes, single-stream Recommend/FindPaths throughput, NDCG@10 / HR@10
-// drift against f32, and closed-loop batched-serve throughput (4 clients,
-// max_batch=8). The int8 row is the headline: ~0.29x the f32 embedding
-// bytes at dim 24, bit-determinism intact (quantized_inference_test holds
-// that line), drift bounded, serve throughput at least f32's.
+// drift against f32, and closed-loop serve throughput (4 clients). The
+// int8 row is the headline: ~0.29x the f32 embedding bytes at dim 24,
+// bit-determinism intact (quantized_inference_test holds that line), drift
+// bounded, serve throughput at least f32's.
 void RunQuantizedServing(BenchJson& json) {
   const BenchConfig config = BenchConfig::FromEnv();
   data::Dataset dataset = MakeDatasetByName("Beauty");
@@ -473,7 +383,7 @@ void RunQuantizedServing(BenchJson& json) {
   TablePrinter table(
       "Quantized serving: CADRL on Beauty, one trained model republished "
       "per precision; arena bytes (rows+scales | policy), throughput, "
-      "metric drift vs f32, batched req/s (4 clients, max_batch=8)");
+      "metric drift vs f32, served req/s (4 clients)");
   table.SetHeader({"Precision", "Store B", "Policy B", "Rec users/s",
                    "Find paths/s", "dNDCG@10", "dHR@10", "Serve req/s"});
 
@@ -500,16 +410,14 @@ void RunQuantizedServing(BenchJson& json) {
     const double d_ndcg = e.ndcg - f32_eval.ndcg;
     const double d_hr = e.hit_rate - f32_eval.hit_rate;
 
-    // Closed-loop batched serving, the deployment configuration the int8
-    // arena targets: smaller rows -> more of the store stays cache-hot
-    // while concurrent requests' steps stack.
+    // Closed-loop serving, the deployment configuration the int8 arena
+    // targets: smaller rows -> more of the store stays cache-hot across
+    // concurrent requests.
     constexpr int kClients = 4;
     constexpr int kRequestsPerClient = 24;
     serve::ServeOptions options;
     options.threads = 4;
     options.queue_capacity = 1024;
-    options.batch_max = 8;
-    options.batch_linger = std::chrono::microseconds{100};
     serve::RecommendService service(model.get(), dataset, options);
     CADRL_CHECK_OK(service.Start());
     const auto t0 = std::chrono::steady_clock::now();
@@ -787,7 +695,6 @@ int main(int argc, char** argv) {
   cadrl::bench::RunParallelScaling(json);
   cadrl::bench::RunCompiledVsTape(json);
   cadrl::bench::RunServeLatency(json);
-  cadrl::bench::RunBatchingConcurrency(json);
   cadrl::bench::RunQuantizedServing(json);
   cadrl::bench::RunReloadLatency(json);
   cadrl::bench::RunOverloadCurve(json);

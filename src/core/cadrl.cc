@@ -1192,7 +1192,7 @@ struct CadrlRecommender::TapeBeamDriver {
 // pointers live at once (e.g. AdvanceRaw reads the user and entity rows
 // together). Dequantization is a pure per-row function of the stored
 // bytes, so the policy forwards stay byte-identical across thread counts
-// and batch compositions for a fixed snapshot.
+// for a fixed snapshot.
 struct CadrlRecommender::CompiledBeamDriver {
   using State = infer::RawPolicyState;
 
@@ -1246,10 +1246,10 @@ struct CadrlRecommender::CompiledBeamDriver {
     }
     logits.resize(static_cast<size_t>(n));
     if (batcher != nullptr) {
-      // Yield the head forward to the serving layer's micro-batcher: the
-      // feature row and action rows stay owned by this driver while the
-      // step is parked, and ExecuteHead returns with `logits` holding the
-      // same bytes CategoryLogitsRaw would have written.
+      // Yield the head forward to the installed step batcher: the feature
+      // row and action rows stay owned by this driver during the call, and
+      // ExecuteHead returns with `logits` holding the same bytes
+      // CategoryLogitsRaw would have written.
       infer::CategoryFeaturesRaw(pv, state, User(), Cat(current),
                                  &batch_features);
       infer::PolicyHeadStep step;
@@ -1327,12 +1327,12 @@ struct CadrlRecommender::CompiledBeamDriver {
   // per operand position so concurrent row pointers never alias.
   std::vector<float> user_slot, ent_slot, rel_slot, cat_slot;
   std::vector<float> action_rows, logits, probs;
-  // Feature row handed to a parked PolicyHeadStep; must stay untouched by
-  // other scratch users until ExecuteHead returns, hence its own buffer.
+  // Feature row handed to a PolicyHeadStep; must stay untouched by other
+  // scratch users until ExecuteHead returns, hence its own buffer.
   std::vector<float> batch_features;
-  // Micro-batcher installed by the serving worker for this request, or
-  // null for direct (unbatched) dispatch. Captured once at driver
-  // construction: one request never switches mode mid-search.
+  // Step batcher installed on this thread (infer/step_batcher.h), or null
+  // for direct dispatch. Captured once at driver construction: one
+  // request never switches mode mid-search.
   infer::StepBatcher* const batcher;
   kg::EntityId user_ = kg::kInvalidEntity;
 };

@@ -255,9 +255,9 @@ void UserScoreMemo::ScoreBatch(std::span<const kg::EntityId> entities,
   miss_scores_.resize(miss_ids_.size());
   if (infer::StepBatcher* batcher = infer::CurrentStepBatcher();
       batcher != nullptr) {
-    // Serving worker with micro-batching installed: park the miss set so
-    // concurrent requests' scoring batches flush together. Byte-identical
-    // to the direct call, so the memo cache stays mode-agnostic.
+    // Step batcher installed on this thread: hand it the miss set. It
+    // writes the direct call's bytes, so the memo cache stays
+    // mode-agnostic.
     infer::ScoreStep step;
     step.view = &view_;
     step.user = user_;

@@ -33,18 +33,6 @@ struct TableRef {
 
 }  // namespace
 
-CompiledModelOptions CompiledModelOptions::FromEnv() {
-  CompiledModelOptions options;
-  options.precision = PrecisionFromEnv();
-  return options;
-}
-
-std::shared_ptr<const CompiledModel> CompiledModel::Build(
-    const core::EmbeddingStore& store,
-    const core::SharedPolicyNetworks& policy, float score_scale) {
-  return Build(store, policy, score_scale, CompiledModelOptions::FromEnv());
-}
-
 std::shared_ptr<const CompiledModel> CompiledModel::Build(
     const core::EmbeddingStore& store,
     const core::SharedPolicyNetworks& policy, float score_scale,

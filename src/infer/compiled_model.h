@@ -28,10 +28,6 @@ namespace infer {
 // (dequantized) inputs.
 struct CompiledModelOptions {
   Precision precision = Precision::kF32;
-
-  // Default options with `precision` taken from CADRL_PRECISION
-  // (f32|f16|int8; unset -> f32).
-  static CompiledModelOptions FromEnv();
 };
 
 // Arena footprint by section, in bytes (RecommendService::Stats and every
@@ -103,10 +99,6 @@ class CompiledModel {
       const core::EmbeddingStore& store,
       const core::SharedPolicyNetworks& policy, float score_scale,
       const CompiledModelOptions& options);
-  // Convenience overload: options from CADRL_PRECISION.
-  static std::shared_ptr<const CompiledModel> Build(
-      const core::EmbeddingStore& store,
-      const core::SharedPolicyNetworks& policy, float score_scale);
 
   const ScoringView& scoring() const { return scoring_; }
   const PolicyParamsView& policy() const { return policy_; }

@@ -263,49 +263,5 @@ void EntityProbsBatchRaw(const PolicyParamsView& view,
   }
 }
 
-void HeadLogitsBatchRaw(const LinearView& head1, const LinearView& head2,
-                        std::span<const HeadBatchRow> rows) {
-  const int n = static_cast<int>(rows.size());
-  if (n == 0) return;
-  const int in1 = head1.in;
-  const int h = head1.out;
-  const int out2 = head2.out;
-  CADRL_CHECK_EQ(head2.in, h);
-
-  // Stack the requests' feature rows, then run each Linear as one GEMM.
-  // The bias add and relu mirror the unbatched LinearForwardRaw/ReluVec
-  // loops element-for-element; see EntityProbsBatchRaw for the same
-  // construction within a single request.
-  static thread_local std::vector<float> features, h1, h2;
-  features.resize(static_cast<size_t>(n) * in1);
-  for (int row = 0; row < n; ++row) {
-    std::copy(rows[row].features, rows[row].features + in1,
-              features.data() + static_cast<size_t>(row) * in1);
-  }
-  h1.assign(static_cast<size_t>(n) * h, 0.0f);
-  kernels::GemmNTAcc(features.data(), head1.weight, h1.data(), n, h, in1);
-  const float* b1 = head1.bias;
-  for (int row = 0; row < n; ++row) {
-    float* out = h1.data() + static_cast<size_t>(row) * h;
-    for (int i = 0; i < h; ++i) {
-      out[i] += b1[i];
-      out[i] = std::max(0.0f, out[i]);  // mirror ag::Relu
-    }
-  }
-  h2.assign(static_cast<size_t>(n) * out2, 0.0f);
-  kernels::GemmNTAcc(h1.data(), head2.weight, h2.data(), n, out2, h);
-  const float* b2 = head2.bias;
-  for (int row = 0; row < n; ++row) {
-    float* out = h2.data() + static_cast<size_t>(row) * out2;
-    for (int i = 0; i < out2; ++i) out[i] += b2[i];
-  }
-  // Each request keeps its own action matrix (its beam element's candidate
-  // set), so the final product stays the per-request Gemv of HeadLogitsRaw.
-  for (int row = 0; row < n; ++row) {
-    kernels::Gemv(rows[row].action_matrix, rows[row].num_actions, out2,
-                  h2.data() + static_cast<size_t>(row) * out2, rows[row].out);
-  }
-}
-
 }  // namespace infer
 }  // namespace cadrl

@@ -5,40 +5,19 @@ namespace infer {
 
 namespace {
 
-struct TlsBatcherState {
-  StepBatcher* batcher = nullptr;
-  RequestContext::Clock::time_point deadline =
-      RequestContext::Clock::time_point::max();
-};
-
-thread_local TlsBatcherState g_tls;
+thread_local StepBatcher* g_tls_batcher = nullptr;
 
 }  // namespace
 
-StepBatcher* CurrentStepBatcher() { return g_tls.batcher; }
+StepBatcher* CurrentStepBatcher() { return g_tls_batcher; }
 
-RequestContext::Clock::time_point CurrentStepDeadline() {
-  return g_tls.deadline;
+ScopedStepBatcher::ScopedStepBatcher(StepBatcher* batcher)
+    : previous_(g_tls_batcher) {
+  g_tls_batcher = batcher;
+  if (batcher != nullptr) backend_pin_.emplace();
 }
 
-ScopedStepBatcher::ScopedStepBatcher(
-    StepBatcher* batcher, RequestContext::Clock::time_point deadline)
-    : previous_batcher_(g_tls.batcher),
-      previous_deadline_(g_tls.deadline),
-      installed_(batcher) {
-  g_tls.batcher = batcher;
-  g_tls.deadline = deadline;
-  if (installed_ != nullptr) {
-    backend_pin_.emplace();
-    installed_->BeginRequest();
-  }
-}
-
-ScopedStepBatcher::~ScopedStepBatcher() {
-  if (installed_ != nullptr) installed_->EndRequest();
-  g_tls.batcher = previous_batcher_;
-  g_tls.deadline = previous_deadline_;
-}
+ScopedStepBatcher::~ScopedStepBatcher() { g_tls_batcher = previous_; }
 
 }  // namespace infer
 }  // namespace cadrl

@@ -7,37 +7,30 @@
 #include "infer/policy_forward.h"
 #include "infer/scoring.h"
 #include "kg/graph.h"
-#include "util/deadline.h"
 #include "util/kernels.h"
 
-// Cross-request micro-batching seam of the compiled inference path
-// (DESIGN.md §13). A serving layer installs a StepBatcher on the worker
-// thread (ScopedStepBatcher); the beam search then parks each of its
-// per-request expansion steps — a policy-head logits forward or a
-// user-entity scoring batch — with the batcher instead of dispatching the
-// kernel call itself. The batcher coalesces steps from concurrent requests
-// into one stacked dispatch per flush and scatters the rows back before the
-// parked Execute* call returns.
+// Per-step seam of the compiled inference path (DESIGN.md §13). A caller
+// installs a StepBatcher on its thread (ScopedStepBatcher); the beam search
+// then hands each of its expansion steps — a policy-head logits forward or
+// a user-entity scoring batch — to the batcher instead of dispatching the
+// kernel call itself. Serving never installs one; the benchmark's probes
+// use it to observe the steps a request really sends (e.g. the row count
+// of each scoring call).
 //
 // Byte-identity contract: every Execute* call must leave exactly the bytes
-// in `out` that the unbatched forward (HeadLogitsRaw / ScoreUserEntities)
-// would have produced, for any batch composition. The kernel layer's fixed
-// reduction order makes a stacked GemmNTAcc row bit-identical to the
-// per-request Gemv, so a conforming batcher needs no per-composition
-// tolerance — tests/batch_scheduler_test.cc compares bytes.
+// in `out` that the direct forward (HeadLogitsRaw / ScoreUserEntities)
+// would have produced, so installing a batcher never changes an answer.
 //
-// The seam lives in infer/ (not serve/) so core::CadrlRecommender and
-// core::UserScoreMemo can yield steps without a dependency on the serving
-// layer; serve::BatchScheduler is the production implementation.
+// The seam lives in infer/ so core::CadrlRecommender and
+// core::UserScoreMemo can yield steps without depending on their observer.
 namespace cadrl {
 namespace infer {
 
-// One parked policy-head forward (Eq 15 category head or Eq 16 entity
-// head): logits of `num_actions` pre-stacked action rows against this
-// request's feature row. All pointers stay owned by (and valid on) the
-// parking thread for the whole Execute call; `head1`/`head2` come from the
-// request's acquired snapshot, so their weight pointers double as the
-// snapshot-epoch key that keeps a flush from spanning a hot-swap.
+// One policy-head forward (Eq 15 category head or Eq 16 entity head):
+// logits of `num_actions` pre-stacked action rows against this request's
+// feature row. All pointers stay owned by (and valid on) the calling
+// thread for the whole Execute call; `head1`/`head2` come from the
+// request's acquired snapshot.
 struct PolicyHeadStep {
   const LinearView* head1 = nullptr;
   const LinearView* head2 = nullptr;
@@ -47,9 +40,9 @@ struct PolicyHeadStep {
   float* out = nullptr;  // logits, length num_actions
 };
 
-// One parked user-entity scoring batch (the miss set of a
+// One user-entity scoring batch (the miss set of a
 // core::UserScoreMemo::ScoreBatch call). `view` points at the request's
-// snapshot tables; its `entities` arena pointer is the epoch key.
+// snapshot tables.
 struct ScoreStep {
   const ScoringView* view = nullptr;
   kg::EntityId user = kg::kInvalidEntity;
@@ -61,53 +54,33 @@ class StepBatcher {
  public:
   virtual ~StepBatcher() = default;
 
-  // Request lifecycle hooks, called by ScopedStepBatcher. A batcher may use
-  // the live request count to flush eagerly once every in-flight request is
-  // parked (no peer left to wait for).
-  virtual void BeginRequest() {}
-  virtual void EndRequest() {}
-
-  // Both calls block until the step's `out` holds its final bytes. They
-  // must not fail: a batcher under deadline pressure flushes early rather
-  // than abandoning a step (an expired request surfaces at the beam
-  // search's next RequestContext::Check, never as a missing result).
+  // Both calls return once the step's `out` holds its final bytes. They
+  // must not fail.
   virtual void ExecuteHead(PolicyHeadStep* step) = 0;
   virtual void ExecuteScore(ScoreStep* step) = 0;
 };
 
 // Batcher installed on the current thread, or null (the default: every
-// caller outside a serving worker dispatches unbatched).
+// caller dispatches directly).
 StepBatcher* CurrentStepBatcher();
 
-// Deadline of the request currently executing on this thread;
-// time_point::max() when none. A batcher uses it to cap how long this
-// thread's parked steps may linger for peers.
-RequestContext::Clock::time_point CurrentStepDeadline();
-
-// RAII install/restore of the thread's batcher (+ request deadline).
-// Nesting restores the previous batcher on destruction; a null batcher is
-// a no-op scope, so call sites can install unconditionally.
+// RAII install/restore of the thread's batcher. Nesting restores the
+// previous batcher on destruction; a null batcher is a no-op scope.
 //
 // Installing a real batcher also pins the kernel backend
-// (kernels::BackendPin): a batched flush stacks rows from concurrent
-// requests into one dispatch, so a kernels::SetBackend racing with it
-// could split one request's steps across backends. The pin turns that
-// race into a CHECK failure in SetBackend instead of a silent
-// nondeterminism hazard.
+// (kernels::BackendPin), so every step of the scope runs on one backend: a
+// kernels::SetBackend racing with it is a CHECK failure instead of a
+// silent nondeterminism hazard.
 class ScopedStepBatcher {
  public:
-  explicit ScopedStepBatcher(StepBatcher* batcher,
-                             RequestContext::Clock::time_point deadline =
-                                 RequestContext::Clock::time_point::max());
+  explicit ScopedStepBatcher(StepBatcher* batcher);
   ~ScopedStepBatcher();
 
   ScopedStepBatcher(const ScopedStepBatcher&) = delete;
   ScopedStepBatcher& operator=(const ScopedStepBatcher&) = delete;
 
  private:
-  StepBatcher* const previous_batcher_;
-  const RequestContext::Clock::time_point previous_deadline_;
-  StepBatcher* const installed_;
+  StepBatcher* const previous_;
   std::optional<kernels::BackendPin> backend_pin_;
 };
 

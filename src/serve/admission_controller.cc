@@ -49,7 +49,8 @@ Status AdmissionOptions::Validate() const {
 
 AdmissionController::AdmissionController(
     const AdmissionOptions& options,
-    std::chrono::microseconds default_deadline, const TimeSource* time_source)
+    std::chrono::microseconds default_deadline,
+    const util::TimeSource* time_source)
     : options_(options),
       target_(options.latency_target.count() > 0
                   ? options.latency_target
@@ -59,7 +60,7 @@ AdmissionController::AdmissionController(
       cooldown_(options.decrease_cooldown.count() > 0
                     ? options.decrease_cooldown
                     : target_),
-      time_(time_source != nullptr ? time_source : RealTimeSource::Get()),
+      time_(time_source != nullptr ? time_source : util::RealTimeSource::Get()),
       limit_(options.initial_limit) {
   CADRL_CHECK(options_.Validate().ok()) << options_.Validate().ToString();
 }
@@ -82,9 +83,9 @@ void AdmissionController::Release() {
 }
 
 bool AdmissionController::ShouldShedEarly(
-    TimeSource::Clock::duration remaining) const {
+    util::TimeSource::Clock::duration remaining) const {
   if (!options_.enabled) return false;
-  if (remaining <= TimeSource::Clock::duration::zero()) return true;
+  if (remaining <= util::TimeSource::Clock::duration::zero()) return true;
   const int64_t floor_p95 = floor_.PercentileUs(0.95);
   return remaining < std::chrono::microseconds(floor_p95);
 }

@@ -5,9 +5,9 @@
 #include <cstdint>
 #include <mutex>
 
-#include "serve/time_source.h"
 #include "util/latency_histogram.h"
 #include "util/status.h"
+#include "util/time_source.h"
 
 namespace cadrl {
 namespace serve {
@@ -76,7 +76,7 @@ class AdmissionController {
   // `time_source` uses the monotonic clock (non-owning either way).
   AdmissionController(const AdmissionOptions& options,
                       std::chrono::microseconds default_deadline,
-                      const TimeSource* time_source = nullptr);
+                      const util::TimeSource* time_source = nullptr);
 
   bool enabled() const { return options_.enabled; }
 
@@ -89,7 +89,7 @@ class AdmissionController {
   // Deadline-aware early shed: true when `remaining` budget is already
   // gone or below the floor stage's observed p95 (enabled only; false
   // until the floor histogram has samples).
-  bool ShouldShedEarly(TimeSource::Clock::duration remaining) const;
+  bool ShouldShedEarly(util::TimeSource::Clock::duration remaining) const;
 
   // Primary-stage latency sample (admission -> stage completion, success
   // or failure — both consume capacity). Drives the AIMD loop.
@@ -127,7 +127,7 @@ class AdmissionController {
   const AdmissionOptions options_;
   const std::chrono::microseconds target_;
   const std::chrono::microseconds cooldown_;
-  const TimeSource* const time_;
+  const util::TimeSource* const time_;
 
   mutable std::mutex mu_;
   double limit_;
@@ -139,7 +139,7 @@ class AdmissionController {
   int64_t breaches_ = 0;
   int window_count_ = 0;
   int64_t last_window_p95_us_ = 0;
-  TimeSource::Clock::time_point last_decrease_{};
+  util::TimeSource::Clock::time_point last_decrease_{};
   util::LatencyHistogram window_;  // reset at each window boundary
 
   // Lifetime floor-stage histogram; read lock-free by ShouldShedEarly on

@@ -4,11 +4,11 @@ namespace cadrl {
 namespace serve {
 
 CircuitBreaker::CircuitBreaker(int failure_threshold, Clock::duration cooldown,
-                               const TimeSource* time_source)
+                               const util::TimeSource* time_source)
     : failure_threshold_(failure_threshold),
       cooldown_(cooldown),
       time_source_(time_source != nullptr ? time_source
-                                          : RealTimeSource::Get()) {}
+                                          : util::RealTimeSource::Get()) {}
 
 bool CircuitBreaker::Allow() {
   if (failure_threshold_ <= 0) return true;  // disabled

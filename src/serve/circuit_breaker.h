@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "serve/time_source.h"
+#include "util/time_source.h"
 
 namespace cadrl {
 namespace serve {
@@ -37,13 +37,13 @@ class CircuitBreaker {
  public:
   enum class State { kClosed, kOpen, kHalfOpen };
 
-  using Clock = TimeSource::Clock;
+  using Clock = util::TimeSource::Clock;
 
   // `cooldown` is how long an open breaker waits before admitting a
   // half-open probe. A null `time_source` uses the monotonic clock; the
   // source is non-owning and must outlive the breaker.
   CircuitBreaker(int failure_threshold, Clock::duration cooldown,
-                 const TimeSource* time_source = nullptr);
+                 const util::TimeSource* time_source = nullptr);
 
   // True if the protected stage may be attempted now. Transitions
   // open -> half-open once the cooldown has elapsed; in half-open only the
@@ -73,7 +73,7 @@ class CircuitBreaker {
 
   const int failure_threshold_;
   const Clock::duration cooldown_;
-  const TimeSource* const time_source_;
+  const util::TimeSource* const time_source_;
 
   mutable std::mutex mu_;
   State state_ = State::kClosed;

@@ -84,7 +84,7 @@ OverloadReport RunOverload(const OverloadOptions& options) {
   }
   SimRecommender model(std::move(items));
 
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
 
   ServeOptions serve_options;
   serve_options.threads = 1;  // unused: manual pump spawns no workers

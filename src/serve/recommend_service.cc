@@ -48,16 +48,6 @@ Status ServeOptions::Validate() const {
     return Status::InvalidArgument("backoff_base must be >= 0");
   }
   if (top_k < 1) return Status::InvalidArgument("top_k must be >= 1");
-  if (batch_max < 0) {
-    return Status::InvalidArgument("batch_max must be >= 0");
-  }
-  if (batch_linger < std::chrono::microseconds::zero()) {
-    return Status::InvalidArgument("batch_linger must be >= 0");
-  }
-  if (manual_pump && batch_max > 1) {
-    return Status::InvalidArgument(
-        "manual_pump is single-threaded; batching has no peers to park for");
-  }
   return admission.Validate();
 }
 
@@ -67,7 +57,7 @@ RecommendService::RecommendService(eval::Recommender* model,
     : model_(model),
       options_(options),
       time_(options.time_source != nullptr ? options.time_source
-                                           : RealTimeSource::Get()),
+                                           : util::RealTimeSource::Get()),
       base_rng_(options.seed) {
   CADRL_CHECK(model_ != nullptr);
   CADRL_CHECK(options_.Validate().ok()) << options_.Validate().ToString();
@@ -107,14 +97,6 @@ RecommendService::RecommendService(eval::Recommender* model,
       std::chrono::duration_cast<std::chrono::microseconds>(
           options_.default_timeout),
       time_);
-
-  if (options_.batch_max > 1) {
-    BatchScheduler::Options batch_options;
-    batch_options.max_batch = options_.batch_max;
-    batch_options.max_linger = options_.batch_linger;
-    batch_options.time_source = time_;
-    batcher_ = std::make_unique<BatchScheduler>(batch_options);
-  }
 
   last_snapshot_at_ = time_->Now();
 }
@@ -266,7 +248,7 @@ Status RecommendService::ReloadFromShardDir(const std::string& dir) {
 
 void RecommendService::RefreshShardStampsLocked(
     const eval::Recommender::ShardServingStatus& status) const {
-  const TimeSource::Clock::time_point now = time_->Now();
+  const util::TimeSource::Clock::time_point now = time_->Now();
   const size_t n = status.shard_generations.size();
   shard_published_at_.resize(n, now);
   shard_stamp_generations_.resize(n, ~uint64_t{0});
@@ -441,18 +423,7 @@ Status RecommendService::TryPrimary(const ServeRequest& req,
     status = ctx.Check();
     if (status.ok()) {
       resp->recs.clear();
-      if (batcher_ != nullptr) {
-        // Primary stage only: the scoped install scopes micro-batching to
-        // the full-CADRL model call, so the degradation ladder (cache /
-        // popularity) and the inline shed path never park in the batcher.
-        infer::ScopedStepBatcher scope(
-            batcher_.get(), ctx.has_deadline()
-                                ? ctx.deadline()
-                                : RequestContext::Clock::time_point::max());
-        status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
-      } else {
-        status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
-      }
+      status = model_->Recommend(req.user, req.k, ctx, &resp->recs);
     }
     if (status.ok() && resp->recs.empty()) {
       status = Status::NotFound("model returned no candidates");
@@ -545,11 +516,6 @@ RecommendService::Stats RecommendService::stats() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     out = stats_;
   }
-  if (batcher_ != nullptr) {
-    const BatchScheduler::Stats batch = batcher_->stats();
-    out.batch_flushes = batch.flushes;
-    out.batched_steps = batch.steps;
-  }
   const AdmissionController::Snapshot adm = admission_->snapshot();
   out.admission_limit = adm.limit;
   out.admission_inflight = adm.inflight;
@@ -563,11 +529,6 @@ RecommendService::Stats RecommendService::stats() const {
   out.shard_mapped_bytes = static_cast<int64_t>(shards.mapped_bytes);
   out.shard_generation = static_cast<int64_t>(shards.generation);
   return out;
-}
-
-BatchScheduler::Stats RecommendService::batch_stats() const {
-  if (batcher_ == nullptr) return BatchScheduler::Stats();
-  return batcher_->stats();
 }
 
 namespace {
@@ -605,7 +566,7 @@ void EmitHistogram(const util::LatencyHistogram& hist, const std::string& name,
 std::string RecommendService::MetricsText() const {
   const Stats s = stats();
   const AdmissionController::Snapshot adm = admission_->snapshot();
-  TimeSource::Clock::time_point snapshot_at;
+  util::TimeSource::Clock::time_point snapshot_at;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     snapshot_at = last_snapshot_at_;
@@ -744,7 +705,7 @@ std::string RecommendService::MetricsText() const {
     std::lock_guard<std::mutex> lock(stats_mu_);
     RefreshShardStampsLocked(shards);
     if (!shard_published_at_.empty()) {
-      const TimeSource::Clock::time_point now = time_->Now();
+      const util::TimeSource::Clock::time_point now = time_->Now();
       out << "# HELP cadrl_serve_shard_age_seconds Time since each shard "
              "was last republished.\n"
           << "# TYPE cadrl_serve_shard_age_seconds gauge\n";
@@ -766,18 +727,6 @@ std::string RecommendService::MetricsText() const {
       << s.arena_store_scale_bytes << "\n"
       << "cadrl_serve_arena_bytes{section=\"policy_params\"} "
       << s.arena_policy_param_bytes << "\n";
-
-  counter("cadrl_serve_batch_flushes_total", "Stacked micro-batch dispatches.",
-          s.batch_flushes);
-  counter("cadrl_serve_batch_steps_total",
-          "Beam steps routed through the batcher.", s.batched_steps);
-  if (batcher_ != nullptr) {
-    out << "# HELP cadrl_serve_batch_linger_p95_us p95 of park -> scatter "
-           "waits.\n"
-        << "# TYPE cadrl_serve_batch_linger_p95_us gauge\n"
-        << "cadrl_serve_batch_linger_p95_us "
-        << batcher_->stats().linger_p95_us << "\n";
-  }
   return out.str();
 }
 

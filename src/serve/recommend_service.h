@@ -17,14 +17,13 @@
 #include "data/dataset.h"
 #include "eval/recommender.h"
 #include "serve/admission_controller.h"
-#include "serve/batch_scheduler.h"
 #include "serve/circuit_breaker.h"
-#include "serve/time_source.h"
 #include "util/deadline.h"
 #include "util/latency_histogram.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/time_source.h"
 
 namespace cadrl {
 namespace serve {
@@ -95,23 +94,13 @@ struct ServeOptions {
   int top_k = 10;
   // Seed of the service RNG; request streams fork off it by request id.
   uint64_t seed = 11;
-  // Cross-request micro-batching of compiled-inference beam steps
-  // (DESIGN.md §13): <= 1 dispatches every request unbatched; > 1 installs
-  // a BatchScheduler that coalesces up to `batch_max` concurrent requests'
-  // steps per stacked dispatch. Only the full-CADRL primary stage batches —
-  // the degradation ladder always bypasses the batcher.
-  int batch_max = 0;
-  // Longest a parked step may wait for peers; the scheduler flushes sooner
-  // whenever every in-flight request is parked, so a lone request never
-  // pays this (and a request's own deadline always overrides it).
-  std::chrono::microseconds batch_linger{200};
   // Clock behind every timed decision the service makes — request
-  // deadlines, queue waits, retry backoff, breaker cooldowns, batch linger
+  // deadlines, queue waits, retry backoff, breaker cooldowns
   // (DESIGN.md §15). Null = the monotonic clock; tests and the overload
   // harness inject a VirtualTimeSource. Non-owning, must outlive the
   // service; non-const because backoff *sleeps* on it (a virtual source
   // advances when slept on).
-  TimeSource* time_source = nullptr;
+  util::TimeSource* time_source = nullptr;
   // Adaptive admission (AIMD concurrency limiting + queue-wait timeout and
   // early-deadline shedding, DESIGN.md §15). Disabled by default; the
   // fixed bounded queue above stays as the backstop either way.
@@ -209,8 +198,6 @@ class RecommendService {
     int64_t shard_reloads = 0;
     int64_t shards_remapped = 0;
     int64_t shards_reused = 0;
-    int64_t batch_flushes = 0;       // stacked micro-batch dispatches
-    int64_t batched_steps = 0;       // beam steps routed through the batcher
     // AIMD state sampled at stats() time.
     double admission_limit = 0.0;
     int64_t admission_inflight = 0;
@@ -231,13 +218,8 @@ class RecommendService {
   // Prometheus-style text exposition of the whole serving surface: request
   // counters and the shed breakdown, breaker states, the AIMD limit,
   // per-stage latency quantiles + cumulative bucket counts, snapshot
-  // generation/age, serving-arena bytes, and micro-batching stats.
+  // generation/age and serving-arena bytes.
   std::string MetricsText() const;
-
-  bool batching_enabled() const { return batcher_ != nullptr; }
-  // Full scheduler stats (batch-size histogram, linger p95, ...);
-  // default-constructed when batching is disabled.
-  BatchScheduler::Stats batch_stats() const;
 
   const CircuitBreaker& primary_breaker() const { return *primary_breaker_; }
   const CircuitBreaker& cache_breaker() const { return *cache_breaker_; }
@@ -326,7 +308,7 @@ class RecommendService {
 
   eval::Recommender* const model_;
   const ServeOptions options_;
-  TimeSource* const time_;
+  util::TimeSource* const time_;
   const Rng base_rng_;
 
   std::unordered_set<kg::EntityId> users_;
@@ -339,10 +321,6 @@ class RecommendService {
   std::unique_ptr<CircuitBreaker> primary_breaker_;
   std::unique_ptr<CircuitBreaker> cache_breaker_;
   std::unique_ptr<AdmissionController> admission_;
-  // Present iff options_.batch_max > 1. Workers install it around the
-  // primary-stage model call only; Stop() joins the workers before members
-  // destruct, so no step can outlive the scheduler.
-  std::unique_ptr<BatchScheduler> batcher_;
 
   mutable std::mutex cache_mu_;
   std::unordered_map<kg::EntityId, std::vector<eval::Recommendation>>
@@ -370,11 +348,11 @@ class RecommendService {
   Stats stats_;
   // When the current snapshot was published (construction or the last
   // successful reload); MetricsText reports its age. Guarded by stats_mu_.
-  TimeSource::Clock::time_point last_snapshot_at_;
+  util::TimeSource::Clock::time_point last_snapshot_at_;
   // Per-shard publish stamps + the generations they were stamped at, for
   // the cadrl_serve_shard_age_seconds gauge. Guarded by stats_mu_;
   // mutable so the const MetricsText scrape can refresh them.
-  mutable std::vector<TimeSource::Clock::time_point> shard_published_at_;
+  mutable std::vector<util::TimeSource::Clock::time_point> shard_published_at_;
   mutable std::vector<uint64_t> shard_stamp_generations_;
 
   // Per-stage latency histograms (internally atomic): end-to-end latency

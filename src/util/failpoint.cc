@@ -44,6 +44,7 @@ void Failpoints::Arm(const std::string& name, int count, int skip) {
   a.skip = skip;
   a.remaining = count;
   armed_[name] = std::move(a);
+  UpdateArmedEntriesLocked();
 }
 
 void Failpoints::ArmWithProbability(const std::string& name, double p,
@@ -53,6 +54,7 @@ void Failpoints::ArmWithProbability(const std::string& name, double p,
   a.probability = p;
   a.seed = seed;
   armed_[name] = std::move(a);
+  UpdateArmedEntriesLocked();
 }
 
 void Failpoints::ArmLatency(const std::string& name,
@@ -64,18 +66,25 @@ void Failpoints::ArmLatency(const std::string& name,
   a.probability = p;
   a.seed = seed;
   latency_[name] = std::move(a);
+  UpdateArmedEntriesLocked();
 }
 
 void Failpoints::Disarm(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.erase(name);
   latency_.erase(name);
+  UpdateArmedEntriesLocked();
 }
 
 void Failpoints::DisarmAll() {
   std::lock_guard<std::mutex> lock(mu_);
   armed_.clear();
   latency_.clear();
+  UpdateArmedEntriesLocked();
+}
+
+void Failpoints::UpdateArmedEntriesLocked() {
+  armed_entries_.store(armed_.size() + latency_.size());
 }
 
 void Failpoints::SetSleeper(
@@ -84,7 +93,8 @@ void Failpoints::SetSleeper(
   sleeper_ = std::move(sleeper);
 }
 
-bool Failpoints::Hit(const std::string& name) {
+bool Failpoints::HitArmed(std::string_view name_view) {
+  const std::string name(name_view);
   const uint64_t token = g_thread_token;
   std::chrono::microseconds delay{0};
   std::function<void(std::chrono::microseconds)> sleeper;

@@ -1,22 +1,27 @@
 #ifndef CADRL_UTIL_FAILPOINT_H_
 #define CADRL_UTIL_FAILPOINT_H_
 
+#include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace cadrl {
 
 // A registry of named failure-injection points. Production code places
 // `CADRL_FAILPOINT("subsystem/event")` at a spot where a fault can occur
-// (a short write, ENOSPC, a crash between steps); the call is a cheap map
-// lookup returning false unless a test armed that name. Tests arm a point
-// with an optional skip count ("fire on the 3rd hit") and a trigger budget
-// ("fire twice, then fall through"), run the workload, and assert that the
-// failure surfaced as a Status instead of a torn artifact or an abort.
+// (a short write, ENOSPC, a crash between steps); while nothing is armed
+// the call is one atomic load returning false — no lock, no string — so
+// points may sit on the serving hot path (once per beam element). Tests
+// arm a point with an optional skip count ("fire on the 3rd hit") and a
+// trigger budget ("fire twice, then fall through"), run the workload, and
+// assert that the failure surfaced as a Status instead of a torn artifact
+// or an abort.
 //
 // Beyond the deterministic count mode, chaos tests can arm a point
 // probabilistically (`ArmWithProbability`) and/or with latency injection
@@ -57,10 +62,20 @@ class Failpoints {
   // (count mode) or one per-token draw (probability mode). Sleeps first
   // when a latency arming fires; the sleep happens outside the registry
   // lock, so concurrent hits are never serialized by an injected delay.
-  bool Hit(const std::string& name);
+  //
+  // Fast path: with no point armed at all, returns false after a single
+  // atomic load of the armed-entry count (a plain load on x86-64).
+  bool Hit(std::string_view name) {
+    if (armed_entries_.load() == 0) return false;
+    return HitArmed(name);
+  }
 
   // Number of times `name` has fired since it was last armed.
   int fire_count(const std::string& name) const;
+
+  // Armed entries (a point armed for both faults and latency counts twice);
+  // 0 means every Hit takes the lock-free fast path. Diagnostics/tests.
+  size_t armed_entries() const { return armed_entries_.load(); }
 
   // Thread-local fault-domain token folded into probabilistic decisions.
   // Serving code sets it to the request id so each request sees a fault
@@ -98,7 +113,15 @@ class Failpoints {
 
   Failpoints() = default;
 
+  // Hit's locked path, taken only while some point is armed.
+  bool HitArmed(std::string_view name);
+  // Republishes armed_.size() + latency_.size(); callers hold mu_.
+  void UpdateArmedEntriesLocked();
+
   mutable std::mutex mu_;
+  // Armed count-/probability- plus latency-mode entries; written under mu_
+  // by every Arm*/Disarm* call, read lock-free by Hit.
+  std::atomic<size_t> armed_entries_{0};
   std::unordered_map<std::string, Arming> armed_;
   std::unordered_map<std::string, LatencyArming> latency_;
   std::function<void(std::chrono::microseconds)> sleeper_;

@@ -340,7 +340,7 @@ Backend ActiveBackend() {
 void SetBackend(Backend backend) {
   CADRL_CHECK_EQ(ActiveBackendPins(), 0)
       << "SetBackend while a kernel-dispatch scope (BackendPin) is live: "
-         "an in-flight batched request could observe both backends";
+         "an in-flight request could observe both backends";
   BackendRef().store(backend, std::memory_order_release);
 }
 

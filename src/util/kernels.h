@@ -42,13 +42,13 @@ Backend ActiveBackend();
 // Overrides the active backend (tests and benchmarks only). The store is
 // release-ordered against the acquire load in ActiveBackend, and the call
 // CHECK-fails while any BackendPin is alive: flipping the backend under an
-// in-flight batched-request scope would let one logical dispatch observe
-// both backends.
+// in-flight pinned scope would let one request's steps observe both
+// backends.
 void SetBackend(Backend backend);
 
 // RAII marker for a region whose kernel dispatches must all observe one
-// backend (serve workers hold one for the lifetime of each batched-request
-// scope). SetBackend refuses to run while any pin is held.
+// backend (infer::ScopedStepBatcher holds one while a step batcher is
+// installed). SetBackend refuses to run while any pin is held.
 class BackendPin {
  public:
   BackendPin();

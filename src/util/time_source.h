@@ -10,8 +10,8 @@ namespace cadrl {
 namespace util {
 
 // Injectable clock for everything the serving layer times: admission
-// deadlines, queue waits, retry backoff, breaker cooldowns, batch linger
-// (DESIGN.md §15). Production uses the process-wide RealTimeSource (the
+// deadlines, queue waits, retry backoff, breaker cooldowns (DESIGN.md
+// §15). Production uses the process-wide RealTimeSource (the
 // monotonic clock); tests and the overload harness substitute a
 // VirtualTimeSource so time-driven behavior runs deterministically and
 // instantly. The interface is deliberately tiny — a current-time read, a

@@ -14,16 +14,15 @@
 #include <gtest/gtest.h>
 
 #include "serve/admission_controller.h"
-#include "serve/time_source.h"
 #include "util/deadline.h"
 #include "util/latency_histogram.h"
+#include "util/time_source.h"
 
 namespace cadrl {
 namespace {
 
 using serve::AdmissionController;
 using serve::AdmissionOptions;
-using serve::VirtualTimeSource;
 using util::LatencyHistogram;
 
 using std::chrono::microseconds;
@@ -83,7 +82,7 @@ TEST(LatencyHistogramTest, SubMicrosecondSamplesRoundUpToOneMicrosecond) {
 // ---------- VirtualTimeSource ----------
 
 TEST(VirtualTimeSourceTest, AdvanceAndSleepMoveTheClock) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   const auto t0 = clock.Now();
   clock.Advance(milliseconds{5});
   EXPECT_EQ(clock.Now() - t0, milliseconds{5});
@@ -99,7 +98,7 @@ TEST(VirtualTimeSourceTest, AdvanceAndSleepMoveTheClock) {
 }
 
 TEST(VirtualTimeSourceTest, WaitUntilRespectsVirtualDeadline) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   std::mutex mu;
   std::condition_variable cv;
   std::unique_lock<std::mutex> lock(mu);
@@ -121,7 +120,7 @@ TEST(VirtualTimeSourceTest, WaitUntilRespectsVirtualDeadline) {
 }
 
 TEST(VirtualTimeSourceTest, RequestContextDeadlinesRunOnTheVirtualClock) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   RequestContext ctx = RequestContext::WithTimeout(milliseconds{10}, &clock);
   EXPECT_TRUE(ctx.has_deadline());
   EXPECT_FALSE(ctx.expired());
@@ -160,7 +159,7 @@ TEST(AdmissionControllerTest, ValidateRejectsBadKnobs) {
 }
 
 TEST(AdmissionControllerTest, TryAcquireEnforcesTheLimit) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionController ctl(EnabledOptions(), milliseconds{20}, &clock);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(ctl.TryAcquire());
   EXPECT_FALSE(ctl.TryAcquire());  // limit 4 reached
@@ -173,7 +172,7 @@ TEST(AdmissionControllerTest, TryAcquireEnforcesTheLimit) {
 }
 
 TEST(AdmissionControllerTest, DisabledNeverRejectsButStillTracks) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionOptions o = EnabledOptions();
   o.enabled = false;
   AdmissionController ctl(o, milliseconds{20}, &clock);
@@ -185,7 +184,7 @@ TEST(AdmissionControllerTest, DisabledNeverRejectsButStillTracks) {
 }
 
 TEST(AdmissionControllerTest, LatencyTargetDerivesFromDeadline) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionOptions o = EnabledOptions();
   o.deadline_fraction = 0.5;
   AdmissionController ctl(o, milliseconds{20}, &clock);
@@ -196,7 +195,7 @@ TEST(AdmissionControllerTest, LatencyTargetDerivesFromDeadline) {
 }
 
 TEST(AdmissionControllerTest, AdditiveIncreaseOnlyAtTheFrontier) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionController ctl(EnabledOptions(), milliseconds{20}, &clock);
   // No in-flight load: under-target samples must NOT grow the limit.
   ctl.OnPrimarySample(milliseconds{1});
@@ -214,7 +213,7 @@ TEST(AdmissionControllerTest, AdditiveIncreaseOnlyAtTheFrontier) {
 }
 
 TEST(AdmissionControllerTest, WindowBreachDecreasesWithCooldown) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionOptions o = EnabledOptions();  // window = 4, target 10ms
   o.initial_limit = 8.0;
   AdmissionController ctl(o, milliseconds{20}, &clock);
@@ -246,7 +245,7 @@ TEST(AdmissionControllerTest, WindowBreachDecreasesWithCooldown) {
 }
 
 TEST(AdmissionControllerTest, QueueTimeoutCutsTheLimit) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionController ctl(EnabledOptions(), milliseconds{20}, &clock);
   ctl.OnQueueTimeout();
   EXPECT_NEAR(ctl.limit(), 4.0 * 0.7, 1e-9);
@@ -255,7 +254,7 @@ TEST(AdmissionControllerTest, QueueTimeoutCutsTheLimit) {
 }
 
 TEST(AdmissionControllerTest, ShouldShedEarlyTracksTheFloorP95) {
-  VirtualTimeSource clock;
+  util::VirtualTimeSource clock;
   AdmissionController ctl(EnabledOptions(), milliseconds{20}, &clock);
   // Exhausted (or negative) budget always sheds.
   EXPECT_TRUE(ctl.ShouldShedEarly(microseconds{0}));

@@ -631,6 +631,59 @@ TEST(FailpointTest, LatencyAndFaultArmingCompose) {
   fp.DisarmAll();
 }
 
+TEST(FailpointTest, PointArmedAfterManyDisarmedHitsStillFires) {
+  Failpoints& fp = Failpoints::Instance();
+  fp.DisarmAll();
+  EXPECT_EQ(fp.armed_entries(), 0u);
+  for (int i = 0; i < 100000; ++i) {
+    ASSERT_FALSE(fp.Hit("util_test/late"));
+  }
+  // Disarmed hits consume nothing: the skip budget starts at the arming.
+  fp.Arm("util_test/late", /*count=*/1, /*skip=*/1);
+  EXPECT_EQ(fp.armed_entries(), 1u);
+  EXPECT_FALSE(fp.Hit("util_test/late"));
+  EXPECT_TRUE(fp.Hit("util_test/late"));
+  EXPECT_EQ(fp.fire_count("util_test/late"), 1);
+  fp.DisarmAll();
+}
+
+TEST(FailpointTest, LatencyOnlyArmingReachesTheSleeper) {
+  Failpoints& fp = Failpoints::Instance();
+  fp.DisarmAll();
+  std::vector<std::chrono::microseconds> slept;
+  ScopedFailpointSleeper sleeper(
+      [&slept](std::chrono::microseconds d) { slept.push_back(d); });
+  fp.ArmLatency("util_test/slow_only", std::chrono::microseconds{750});
+  EXPECT_EQ(fp.armed_entries(), 1u);
+  EXPECT_FALSE(fp.Hit("util_test/slow_only"));
+  ASSERT_EQ(slept.size(), 1u);
+  EXPECT_EQ(slept[0], std::chrono::microseconds{750});
+  fp.DisarmAll();
+}
+
+TEST(FailpointTest, DisarmOfPointArmedBothWaysRestoresFastPath) {
+  Failpoints& fp = Failpoints::Instance();
+  fp.DisarmAll();
+  int sleeps = 0;
+  ScopedFailpointSleeper sleeper(
+      [&sleeps](std::chrono::microseconds) { ++sleeps; });
+  fp.Arm("util_test/both_ways", /*count=*/-1);
+  fp.ArmLatency("util_test/both_ways", std::chrono::microseconds{10});
+  EXPECT_EQ(fp.armed_entries(), 2u);
+  EXPECT_TRUE(fp.Hit("util_test/both_ways"));
+  EXPECT_EQ(sleeps, 1);
+  fp.Disarm("util_test/both_ways");
+  EXPECT_EQ(fp.armed_entries(), 0u);
+  EXPECT_FALSE(fp.Hit("util_test/both_ways"));
+  EXPECT_EQ(sleeps, 1);
+  // Re-arming the same name leaves the fast path again.
+  fp.Arm("util_test/both_ways");
+  EXPECT_EQ(fp.armed_entries(), 1u);
+  EXPECT_TRUE(fp.Hit("util_test/both_ways"));
+  fp.DisarmAll();
+  EXPECT_EQ(fp.armed_entries(), 0u);
+}
+
 TEST(FailpointTest, ScopedTokenRestoresPreviousToken) {
   EXPECT_EQ(Failpoints::thread_token(), 0u);
   {
