@@ -464,14 +464,15 @@ void RunQuantizedServing(BenchJson& json) {
 }
 
 // Snapshot reload latency (DESIGN.md §16): the same trained CADRL on
-// Beauty hot-swapped three ways — (a) contiguous checkpoint reload
-// (ReloadFromCheckpoint: parse the full hex-float model file, re-quantize,
-// rebuild the heap arena), (b) cold shard-dir publish (LoadFromShardDir
-// with no predecessor: open + mmap + header/CRC validate every shard, no
-// parse), and (c) delta republish (one entity row perturbed, recompiled —
-// only the one changed shard is rewritten and remapped) — plus the no-op
+// Beauty hot-swapped three ways — (a) checkpoint reload
+// (ReloadFromCheckpoint: parse the full hex-float model file, then
+// re-encode and quantize an in-process snapshot), (b) cold shard-dir
+// publish (LoadFromShardDir with no predecessor: open + mmap +
+// header/CRC validate every shard, no parse), and (c) delta republish (one
+// entity row perturbed, recompiled — only the one changed shard is
+// rewritten and remapped) — plus the no-op
 // poll an unchanged directory costs a reloader. The point of the format:
-// (b) is independent of arena size and (c) is independent of everything
+// (b) is independent of model size and (c) is independent of everything
 // but the changed range.
 void RunReloadLatency(BenchJson& json) {
   const BenchConfig config = BenchConfig::FromEnv();
@@ -511,7 +512,7 @@ void RunReloadLatency(BenchJson& json) {
     return v.empty() ? 0.0 : s / static_cast<double>(v.size());
   };
 
-  // (a) Contiguous checkpoint parse + arena rebuild + publish.
+  // (a) Checkpoint parse + in-process snapshot build + publish.
   std::vector<double> parse_ms;
   for (int r = 0; r < kRepeats; ++r) {
     parse_ms.push_back(
@@ -572,7 +573,7 @@ void RunReloadLatency(BenchJson& json) {
       std::to_string(kShardRows) + " rows), mean of " +
       std::to_string(kRepeats) + " repeats");
   table.SetHeader({"Path", "ms", "Shards remapped"});
-  table.AddRow({"checkpoint parse (contiguous)",
+  table.AddRow({"checkpoint parse + build",
                 TablePrinter::Fmt(mean(parse_ms), 3), "-"});
   table.AddRow({"shard-dir cold publish (mmap)",
                 TablePrinter::Fmt(mean(cold_ms), 3),

@@ -191,13 +191,14 @@ class CadrlRecommender : public eval::Recommender {
   // Zero-parse hot swap from a compiled shard directory: open + mmap +
   // validate and publish, with the same RCU semantics as
   // ReloadFromCheckpoint but no full-model parse — reload cost is
-  // independent of arena size, and when the currently served snapshot came
+  // independent of model size, and when the currently served snapshot came
   // from the same directory lineage only changed shards are remapped. A
   // reload of an unchanged directory (same manifest generation) publishes
   // nothing.
   Status ReloadFromShardDir(const std::string& dir) override;
 
-  // Shard-set accounting of the served snapshot (zeros for heap arenas).
+  // Shard-set accounting of the served snapshot (zeros unless it was
+  // loaded from a shard directory).
   ShardServingStatus ShardStatus() const override;
 
   // Compiled (tape-free) inference is the default; switching it off routes
@@ -265,13 +266,10 @@ class CadrlRecommender : public eval::Recommender {
   std::shared_ptr<const infer::CompiledModel> AcquireSnapshot() const;
   void PublishSnapshot(std::shared_ptr<const infer::CompiledModel> snapshot);
 
-  // Compiles a publishable snapshot from an f32 store + policy at the
-  // current snapshot precision. Every publish site routes through here:
-  // with CADRL_SNAPSHOT_SHARDED=1 the snapshot detours through a temp
-  // shard directory and comes back mmap-backed (the files are removed
-  // immediately — the mappings keep the pages alive), so the whole test
-  // suite can run against the sharded layout; otherwise it is a plain
-  // heap-arena CompiledModel::Build.
+  // Compiles a publishable in-process snapshot (shard-format blobs in heap
+  // buffers, DESIGN.md §16) from an f32 store + policy at the current
+  // snapshot precision. Every publish site except ReloadFromShardDir routes
+  // through here.
   std::shared_ptr<const infer::CompiledModel> BuildSnapshot(
       const EmbeddingStore& store, const SharedPolicyNetworks& policy,
       float scale) const;

@@ -93,7 +93,7 @@ class EmbeddingStore {
 
   // Raw-buffer view of the current tables + scoring configuration: the
   // scoring methods above are thin callers of infer::* free functions over
-  // this view, and CompiledModel::Build copies it into a frozen snapshot.
+  // this view, and CompiledModel::Build encodes it into a frozen snapshot.
   // The view borrows this store's buffers — it is invalidated by any
   // mutation or by destroying the store.
   infer::ScoringView View() const;

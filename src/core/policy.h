@@ -104,7 +104,7 @@ class SharedPolicyNetworks : public ag::Module {
   const PolicyConfig& config() const { return config_; }
 
   // Raw-buffer view of all parameters + config for the tape-free forwards
-  // in infer/ (same layout CompiledModel::Build copies into its arena).
+  // in infer/ (the layout CompiledModel::Build encodes into a snapshot).
   // The view borrows this module's tensors — invalidated by optimizer
   // steps only in value, never in shape, so it may be captured once per
   // inference call.

@@ -11,10 +11,6 @@
 #include "infer/scoring.h"
 
 namespace cadrl {
-namespace core {
-class EmbeddingStore;
-class SharedPolicyNetworks;
-}  // namespace core
 namespace util {
 class MmapFile;
 }  // namespace util
@@ -30,10 +26,10 @@ struct CompiledModelOptions {
   Precision precision = Precision::kF32;
 };
 
-// Arena footprint by section, in bytes (RecommendService::Stats and every
-// bench JSON dump report these — the memory claim is a measured number).
-// For a shard-dir-backed model these are the *logical* section sizes inside
-// the mappings (the heap arenas are empty; see arena_size()).
+// Snapshot footprint by section, in bytes (RecommendService::Stats and
+// every bench JSON dump report these — the memory claim is a measured
+// number). These are the logical section sizes inside the shard-format
+// blobs, wherever those blobs live (heap buffer or file mapping).
 struct ArenaBytes {
   size_t store_rows = 0;    // embedding-table row payloads (all tables)
   size_t store_scales = 0;  // per-row int8 scale/zero-point metadata
@@ -42,7 +38,7 @@ struct ArenaBytes {
 };
 
 // Aggregate shard-set accounting for a shard-dir-backed model (all zero for
-// heap-arena models). `shards_remapped`/`shards_reused` describe how this
+// in-process builds). `shards_remapped`/`shards_reused` describe how this
 // model was loaded relative to the `previous` model handed to the loader:
 // a delta reload reuses the unchanged shards' mappings and maps only the
 // republished ones.
@@ -68,81 +64,84 @@ struct ShardSetInfo {
 };
 
 // A frozen, tape-free inference snapshot: every parameter the serving path
-// needs — the embedding tables and both agents' policy parameters —
-// flattened out of ag::Tensor into contiguous immutable arenas, plus
-// the views the compiled forwards (scoring.h / policy_forward.h) read.
-// Instances are immutable after Build and shared by std::shared_ptr, which
-// is what makes RCU-style hot swap safe: a reader that grabbed the pointer
-// keeps a complete consistent model alive for the whole request while a
-// writer publishes a new snapshot (DESIGN.md §12).
+// needs — the embedding tables and both agents' policy parameters — held
+// in the relocatable shard format (infer/shard_layout.h, DESIGN.md §16),
+// plus the views the compiled forwards (scoring.h / policy_forward.h) read.
+// Instances are immutable after construction and shared by std::shared_ptr,
+// which is what makes RCU-style hot swap safe: a reader that grabbed the
+// pointer keeps a complete consistent model alive for the whole request
+// while a writer publishes a new snapshot (DESIGN.md §12).
 //
-// The embedding tables live in the row format selected at Build
-// (CompiledModelOptions::precision): f32 rows in the float arena, f16 rows
-// in the half arena, or int8 rows in the byte arena with per-row binary16
-// scale/zero-point pairs in the half arena. Quantization happens exactly
-// once, here — training and the tape never see quantized values, and a
-// request's acquired snapshot carries one row format end-to-end.
+// There is one representation and one wiring routine. Build encodes the
+// live model into shard-format blobs kept in heap buffers — one entity
+// blob covering every row plus the meta blob — and LoadFromShardDir maps
+// the same blobs from files; either way the views are wired from the blob
+// sections by the same code (shard_layout.cc). A table held by a single
+// blob is wired flat, so in-process snapshots and one-shard directories
+// keep ResolveRow's zero-indirection path.
 //
-// CGGNN weights are deliberately NOT part of the serving arena: the GNN
-// runs at train/load time and its outputs are already baked into the
-// store's item rows, which Build copies. The compiled CGGNN forward
-// (cggnn_forward.h) exists for that bake step, not for per-request work.
+// The embedding tables are encoded once, at Build/compile time, in the row
+// format selected by CompiledModelOptions::precision (f32, f16, or int8
+// with per-row binary16 scale/zero-point sections) — training and the tape
+// never see quantized values, and a request's acquired snapshot carries
+// one row format end-to-end.
+//
+// CGGNN weights are deliberately NOT part of the snapshot: the GNN runs at
+// train/load time and its outputs are already baked into the store's item
+// rows, which Build encodes. The compiled CGGNN forward (cggnn_forward.h)
+// exists for that bake step, not for per-request work.
 class CompiledModel {
  public:
   CompiledModel(const CompiledModel&) = delete;
   CompiledModel& operator=(const CompiledModel&) = delete;
 
-  // Deep-copies all tables and parameters out of the live store/policy
-  // into the arenas, quantizing the tables per `options.precision`. The
-  // sources may be mutated or destroyed afterwards.
+  // Encodes the f32 live view (the store's tables + policy parameters)
+  // into in-process shard-format blobs, quantizing the tables per
+  // `options.precision`, and wires the snapshot from them. Everything is
+  // copied: the sources may be mutated or destroyed afterwards. Defined in
+  // shard_layout.cc next to the encoders it shares with CompileToShardDir.
   static std::shared_ptr<const CompiledModel> Build(
-      const core::EmbeddingStore& store,
-      const core::SharedPolicyNetworks& policy, float score_scale,
-      const CompiledModelOptions& options);
+      const ScoringView& view, const PolicyParamsView& policy,
+      float score_scale, const CompiledModelOptions& options);
 
   const ScoringView& scoring() const { return scoring_; }
   const PolicyParamsView& policy() const { return policy_; }
   float score_scale() const { return score_scale_; }
   Precision precision() const { return scoring_.precision; }
-  // Floats held by the f32 arena (policy params + f32-precision tables);
-  // prefer arena_bytes() for footprint reporting. Zero for a shard-dir-
-  // backed model — its parameters live in the mapped files, not the heap.
-  size_t arena_size() const { return arena_.size(); }
-  // Per-section arena footprint in bytes, across all three arenas (or the
-  // equivalent logical sections of the mappings for a mapped model).
+  // Per-section footprint in bytes (same accounting for every backing).
   const ArenaBytes& arena_bytes() const { return arena_bytes_; }
 
-  // True when this model is backed by a shard directory (ShardLoader):
-  // the tables and policy parameters point into read-only file mappings
-  // instead of the heap arenas.
-  bool mapped() const { return !mappings_.empty(); }
+  // True when this model is backed by a shard directory (LoadFromShardDir);
+  // false for an in-process Build, whose shard stats/infos are empty.
+  bool mapped() const { return from_dir_; }
   const ShardSetStats& shard_stats() const { return shard_stats_; }
   const std::vector<ShardSetInfo>& shard_infos() const { return shard_infos_; }
 
  private:
-  friend class ShardLoader;  // builds mapped instances (shard_layout.cc)
+  friend class ShardLoader;  // wires views into the blobs (shard_layout.cc)
 
   CompiledModel() = default;
 
-  std::vector<float> arena_;      // policy params (+ f32 tables)
-  std::vector<uint16_t> half_arena_;  // f16 rows / int8 scale-zp pairs
-  std::vector<int8_t> byte_arena_;    // int8 rows
   ScoringView scoring_;
   PolicyParamsView policy_;
   ArenaBytes arena_bytes_;
   float score_scale_ = 1.0f;
 
-  // Shard-dir backend (empty for heap-arena models). `mappings_` pins the
-  // mapped files for the model's lifetime — an acquired snapshot therefore
-  // pins its whole shard set exactly like a heap arena, and a delta reload
-  // shares unchanged mappings with the previous model via the shared_ptrs.
-  // The segment vectors are the flat per-shard sub-tables the sharded
-  // RowTables (see infer/precision.h) point into; they are sized once at
-  // load and never reallocate.
-  std::vector<std::shared_ptr<const util::MmapFile>> mappings_;
+  // The shard-format blobs every view points into: entity-range blobs in
+  // row order, then the meta blob last. Heap buffers for an in-process
+  // Build, file mappings for a shard directory; either way the model pins
+  // them for its lifetime, and a delta reload shares unchanged mappings
+  // with the previous model via the shared_ptrs. The segment vectors are
+  // the per-blob sub-tables of a multi-blob (sharded) RowTable (see
+  // infer/precision.h); they are sized once and never reallocate, and stay
+  // empty when a single blob is wired flat.
+  std::vector<std::shared_ptr<const util::MmapFile>> blobs_;
   std::vector<RowTable> ent_segments_;
   std::vector<RowTable> raw_segments_;
   std::vector<RowTable> demand_segments_;
+
+  // Shard-directory provenance (unset for an in-process Build).
+  bool from_dir_ = false;
   ShardSetStats shard_stats_;
   std::vector<ShardSetInfo> shard_infos_;
   uint32_t meta_crc_ = 0;           // meta shard payload CRC (delta reuse)

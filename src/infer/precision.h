@@ -8,8 +8,9 @@
 
 // Row-format selection for the compiled inference snapshot (DESIGN.md §14).
 // A snapshot's embedding tables are stored in exactly one of three formats,
-// chosen at CompiledModel::Build time; training and the autograd tape are
-// always f32, so precision is purely a serving-arena property. Every
+// chosen when the snapshot is encoded (CompiledModel::Build or
+// CompileToShardDir); training and the autograd tape are always f32, so
+// precision is purely a serving-snapshot property. Every
 // consumer goes through the dispatch helpers here (or the precision-aware
 // kernels in util/kernels.h), which keeps one snapshot's row format
 // end-to-end consistent for a request regardless of hot swaps.
@@ -33,12 +34,14 @@ bool ParsePrecision(const std::string& value, Precision* out);
 Precision PrecisionFromEnv();
 
 // One embedding table in the owning view's row format. Exactly the pointer
-// set matching the precision is non-null; all pointers borrow the arena.
+// set matching the precision is non-null; all pointers borrow the
+// snapshot's blobs.
 //
 // A table is either *flat* (the pointers cover every row contiguously —
-// the heap-arena layout) or *sharded* (rows live in `num_segments`
+// one blob holds the whole table, as in an in-process snapshot or a
+// one-shard directory) or *sharded* (rows live in `num_segments`
 // sub-tables of `segment_rows` rows each, the last possibly shorter; the
-// sub-tables are flat RowTables borrowing separate mmap'ed shard files).
+// sub-tables are flat RowTables borrowing separate shard blobs).
 // All row access goes through ResolveRow below, so consumers never assume
 // contiguity; flat tables keep their zero-indirection fast path.
 struct RowTable {
@@ -59,20 +62,11 @@ struct RowTable {
     return f32 != nullptr || f16 != nullptr || q8 != nullptr ||
            segments != nullptr;
   }
-  // The row payload pointer regardless of format — unique per arena (for a
-  // sharded table, the segment array is unique per model), which is what
-  // makes it usable as a snapshot-epoch key (batch grouping).
-  const void* data() const {
-    if (segments != nullptr) return segments;
-    if (f32 != nullptr) return f32;
-    if (f16 != nullptr) return f16;
-    return q8;
-  }
 };
 
 // Maps a global row index to the flat sub-table holding it, rewriting *idx
 // to the segment-local row. Identity (and branch-predictable) for flat
-// tables, so the contiguous layout pays nothing.
+// tables, so the one-blob layout pays nothing.
 inline const RowTable& ResolveRow(const RowTable& t, int64_t* idx) {
   if (t.segments == nullptr) return t;
   const int64_t s = *idx / t.segment_rows;

@@ -94,13 +94,43 @@ struct Manifest {
   bool condition_on_category = false;
   int lstm_c_in = 0, lstm_e_in = 0;
   ManifestLinear linears[6];  // mix_c, mix_e, head1_c, head2_c,
-                              // head1_e, head2_e (Build's copy order)
+                              // head1_e, head2_e (FlattenPolicy's order)
   ManifestShard meta;
   std::vector<ManifestShard> shards;
 };
 
 constexpr const char* kLinearNames[6] = {"mix_c",   "mix_e",   "head1_c",
                                          "head2_c", "head1_e", "head2_e"};
+
+// The manifest fields that describe the model itself: dims, score mode,
+// precision and policy shapes (not shard_rows, the generation or the
+// shard entries, which belong to one compile).
+Manifest DescribeModel(const ScoringView& view, const PolicyParamsView& policy,
+                       float score_scale, Precision precision) {
+  Manifest m;
+  m.dim = view.dim;
+  m.precision = precision;
+  m.score_scale = score_scale;
+  m.mode = static_cast<int>(view.mode);
+  m.ensemble_weight = view.ensemble_weight;
+  m.num_entities = view.num_entities;
+  m.num_categories = view.num_categories;
+  m.demand = view.demand_entities.present();
+  m.policy_dim = policy.dim;
+  m.policy_hidden = policy.hidden;
+  m.share_history = policy.share_history;
+  m.condition_on_category = policy.condition_on_category;
+  m.lstm_c_in = policy.lstm_c.in;
+  m.lstm_e_in = policy.lstm_e.in;
+  const LinearView* linears[6] = {&policy.mix_c,   &policy.mix_e,
+                                  &policy.head1_c, &policy.head2_c,
+                                  &policy.head1_e, &policy.head2_e};
+  for (int i = 0; i < 6; ++i) {
+    m.linears[i] = {linears[i]->in, linears[i]->out,
+                    linears[i]->bias != nullptr};
+  }
+  return m;
+}
 
 std::string SerializeManifest(const Manifest& m) {
   std::ostringstream out;
@@ -304,8 +334,8 @@ std::string AssembleBlob(uint8_t kind, Precision precision, uint32_t dim,
 }
 
 // Encodes `rows` rows of the f32 source starting at `row_begin` into the
-// blob at the planned offsets, using the exact kernels
-// CompiledModel::Build uses — bit-identical shard bytes by construction.
+// blob at the planned offsets. The one row encoder: in-process snapshots
+// and shard files are both made of these bytes.
 void EncodeTableSlice(const float* f32_rows, int64_t row_begin, uint64_t rows,
                       uint32_t dim, Precision precision, char* rows_dst,
                       char* scales_dst, char* zps_dst) {
@@ -393,8 +423,8 @@ std::string BuildEntityShardBlob(const ScoringView& view, Precision precision,
   return blob;
 }
 
-// Flattens the policy parameters in CompiledModel::Build's exact copy
-// order: lstm_c, lstm_e, then the six linears, weight before bias.
+// Flattens the policy parameters in the one blob order ShardLoader::Wire
+// walks back: lstm_c, lstm_e, then the six linears, weight before bias.
 std::vector<float> FlattenPolicy(const PolicyParamsView& pv) {
   std::vector<float> out;
   auto append = [&out](const float* src, size_t n) {
@@ -477,10 +507,22 @@ bool TailCrcMatches(const std::string& path, uint32_t want_crc) {
 
 // --- Loader helpers -------------------------------------------------------
 
+// The section table of a structurally valid blob (see ValidateShardBlob).
+std::vector<ShardSection> ReadSections(std::string_view payload) {
+  ShardHeader header;
+  std::memcpy(&header, payload.data(), sizeof(header));
+  std::vector<ShardSection> sections(header.num_sections);
+  for (size_t i = 0; i < sections.size(); ++i) {
+    std::memcpy(&sections[i],
+                payload.data() + sizeof(ShardHeader) + i * sizeof(ShardSection),
+                sizeof(ShardSection));
+  }
+  return sections;
+}
+
 Status ValidateShardBlob(std::string_view payload, const std::string& what,
                          Precision precision, uint8_t kind, uint32_t dim,
-                         int64_t row_begin, int64_t row_count,
-                         std::vector<ShardSection>* sections) {
+                         int64_t row_begin, int64_t row_count) {
   if (payload.size() < sizeof(ShardHeader)) {
     return Status::Corruption(what + ": truncated shard header");
   }
@@ -512,12 +554,7 @@ Status ValidateShardBlob(std::string_view payload, const std::string& what,
       header.payload_bytes != payload.size()) {
     return Status::Corruption(what + ": shard header disagrees with manifest");
   }
-  sections->resize(header.num_sections);
-  for (size_t i = 0; i < sections->size(); ++i) {
-    ShardSection& s = (*sections)[i];
-    std::memcpy(&s, payload.data() + sizeof(ShardHeader) +
-                        i * sizeof(ShardSection),
-                sizeof(s));
+  for (const ShardSection& s : ReadSections(payload)) {
     if (s.offset % kShardSectionAlign != 0 || s.offset < table_bytes ||
         s.size > payload.size() || s.offset > payload.size() - s.size) {
       return Status::Corruption(what + ": shard section out of bounds");
@@ -571,15 +608,6 @@ Status WireTable(std::string_view payload,
 
 }  // namespace
 
-bool ShardedSnapshotsFromEnv() { return EnvFlag("CADRL_SNAPSHOT_SHARDED"); }
-
-int64_t ShardRowsFromEnv(int64_t fallback) {
-  const char* env = std::getenv("CADRL_SNAPSHOT_SHARD_ROWS");
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const int64_t v = std::atoll(env);
-  return v > 0 ? v : fallback;
-}
-
 bool ShardVerifyFromEnv() { return EnvFlag("CADRL_SHARD_VERIFY"); }
 
 Status CompileToShardDir(const ScoringView& view,
@@ -618,29 +646,8 @@ Status CompileToShardDir(const ScoringView& view,
     for (const ManifestShard& s : old.shards) old_by_file[s.file] = &s;
   }
 
-  Manifest next;
-  next.dim = view.dim;
-  next.precision = prec;
-  next.score_scale = score_scale;
-  next.mode = static_cast<int>(view.mode);
-  next.ensemble_weight = view.ensemble_weight;
-  next.num_entities = ent_rows;
-  next.num_categories = view.num_categories;
-  next.demand = view.demand_entities.present();
+  Manifest next = DescribeModel(view, policy, score_scale, prec);
   next.shard_rows = shard_rows;
-  next.policy_dim = policy.dim;
-  next.policy_hidden = policy.hidden;
-  next.share_history = policy.share_history;
-  next.condition_on_category = policy.condition_on_category;
-  next.lstm_c_in = policy.lstm_c.in;
-  next.lstm_e_in = policy.lstm_e.in;
-  const LinearView* linears[6] = {&policy.mix_c,   &policy.mix_e,
-                                  &policy.head1_c, &policy.head2_c,
-                                  &policy.head1_e, &policy.head2_e};
-  for (int i = 0; i < 6; ++i) {
-    next.linears[i] = {linears[i]->in, linears[i]->out,
-                       linears[i]->bias != nullptr};
-  }
   next.shards.resize(static_cast<size_t>(num_shards));
 
   const uint64_t new_generation = have_old ? old.generation + 1 : 1;
@@ -720,181 +727,44 @@ Status CompileToShardDir(const ScoringView& view,
                          SerializeManifest(next));
 }
 
-// Builds mapped CompiledModel instances; the only code with private access
-// (friend) because it wires view pointers straight into the mappings.
+namespace {
+
+// One shard-format blob as the wiring routine sees it: the holder that
+// pins its bytes (a file mapping or an in-process buffer) and the payload
+// inside them, durability footer excluded.
+struct ShardBlob {
+  std::shared_ptr<const util::MmapFile> holder;
+  std::string_view payload;
+  std::string name;  // for error messages
+};
+
+ShardBlob InProcessBlob(std::string bytes, std::string name) {
+  std::shared_ptr<const util::MmapFile> holder =
+      util::MmapFile::FromBytes(std::move(bytes), name);
+  const std::string_view payload(holder->data(), holder->size());
+  return {std::move(holder), payload, std::move(name)};
+}
+
+}  // namespace
+
+// Wires CompiledModel views into shard blobs; the only code with private
+// access (friend), and the only code that turns blob bytes into a model.
 class ShardLoader {
  public:
-  static Status Load(const std::string& dir, const ShardLoadOptions& options,
-                     std::shared_ptr<const CompiledModel> previous,
-                     std::shared_ptr<const CompiledModel>* out) {
-    CADRL_CHECK(out != nullptr);
-    std::string payload;
-    CADRL_RETURN_IF_ERROR(
-        ReadFileVerified(dir + "/" + kShardManifestName, &payload));
-    Manifest m;
-    CADRL_RETURN_IF_ERROR(
-        ParseManifest(payload, &m).Annotate(dir + "/" + kShardManifestName));
-
-    // Shard coverage must be exactly [0, num_entities) in shard_rows
-    // steps: ResolveRow's division depends on every shard but the last
-    // holding precisely shard_rows rows.
-    const int num_shards = static_cast<int>(m.shards.size());
-    const int expect_shards = static_cast<int>(
-        (m.num_entities + m.shard_rows - 1) / m.shard_rows);
-    if (num_shards != expect_shards) {
-      return Status::Corruption(dir + ": manifest shard count " +
-                                std::to_string(num_shards) +
-                                " does not cover num_entities");
-    }
-    for (int i = 0; i < num_shards; ++i) {
-      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
-      const int64_t begin = static_cast<int64_t>(i) * m.shard_rows;
-      const int64_t rows =
-          std::min<int64_t>(m.shard_rows, m.num_entities - begin);
-      if (s.row_begin != begin || s.row_count != rows) {
-        return Status::Corruption(dir + ": shard " + s.file +
-                                  " has a non-contiguous row range");
-      }
-    }
-
-    auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+  // The one wiring routine, for in-process builds and shard directories
+  // alike. `entity` holds the entity-range blobs in row order, each
+  // covering m.shard_rows rows (the last possibly fewer); `meta` holds the
+  // relations, categories and policy. Blob structure is the caller's
+  // promise (ValidateShardBlob for files, construction for Build); the
+  // section sizes are checked here against the manifest dims. A single
+  // entity blob is wired flat (no segment indirection).
+  static Status Wire(const Manifest& m, const std::vector<ShardBlob>& entity,
+                     const ShardBlob& meta, CompiledModel* model) {
     const Precision prec = m.precision;
     const uint32_t dim = static_cast<uint32_t>(m.dim);
+    const size_t num_blobs = entity.size();
+    const bool flat = num_blobs == 1;
 
-    // Index the previous model's shard set for delta reuse: an unchanged
-    // manifest entry means unchanged bytes, so the previous mapping (still
-    // pinned by its shared_ptr even if the file was replaced since) serves
-    // the new model too.
-    std::unordered_map<std::string, size_t> prev_by_file;
-    const bool have_prev = previous != nullptr && previous->mapped();
-    if (have_prev) {
-      for (size_t i = 0; i < previous->shard_infos_.size(); ++i) {
-        prev_by_file[previous->shard_infos_[i].file] = i;
-      }
-    }
-    auto reusable = [&](const ManifestShard& s) -> int64_t {
-      if (!have_prev) return -1;
-      const auto it = prev_by_file.find(s.file);
-      if (it == prev_by_file.end()) return -1;
-      const ShardSetInfo& p = previous->shard_infos_[it->second];
-      if (p.crc != s.crc || p.row_begin != s.row_begin ||
-          p.row_count != s.row_count || p.generation != s.generation) {
-        return -1;
-      }
-      return static_cast<int64_t>(it->second);
-    };
-
-    model->mappings_.resize(static_cast<size_t>(num_shards) + 1);
-    model->ent_segments_.resize(static_cast<size_t>(num_shards));
-    model->raw_segments_.resize(static_cast<size_t>(num_shards));
-    if (m.demand) {
-      model->demand_segments_.resize(static_cast<size_t>(num_shards));
-    }
-    model->shard_infos_.resize(static_cast<size_t>(num_shards));
-    ShardSetStats& stats = model->shard_stats_;
-    stats.shard_count = num_shards;
-    stats.generation = m.generation;
-
-    for (int i = 0; i < num_shards; ++i) {
-      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
-      std::shared_ptr<const util::MmapFile> mapping;
-      const int64_t prev_idx = reusable(s);
-      bool remapped = false;
-      if (prev_idx >= 0) {
-        // Reused mappings were validated when first mapped and are
-        // immutable — no re-validation, which is what keeps a delta
-        // reload's cost proportional to the *changed* shards only.
-        mapping = previous->mappings_[static_cast<size_t>(prev_idx)];
-        ++stats.shards_reused;
-      } else {
-        CADRL_RETURN_IF_ERROR(util::MmapFile::Open(dir + "/" + s.file,
-                                                   &mapping));
-        remapped = true;
-        ++stats.shards_remapped;
-      }
-      std::string_view blob;
-      uint32_t footer_crc = 0;
-      CADRL_RETURN_IF_ERROR(
-          VerifyFooterOnView(std::string_view(mapping->data(),
-                                              mapping->size()),
-                             remapped && options.verify_payload, &blob,
-                             &footer_crc)
-              .Annotate(s.file));
-      if (footer_crc != s.crc) {
-        return Status::Corruption(s.file +
-                                  ": shard CRC disagrees with manifest "
-                                  "(stale or torn shard file)");
-      }
-      std::vector<ShardSection> sections;
-      if (remapped) {
-        CADRL_RETURN_IF_ERROR(ValidateShardBlob(blob, s.file, prec,
-                                                /*kind=*/0, dim, s.row_begin,
-                                                s.row_count, &sections));
-      } else {
-        // Structure was validated at first map; re-read the section table
-        // only.
-        ShardHeader header;
-        std::memcpy(&header, blob.data(), sizeof(header));
-        sections.resize(header.num_sections);
-        for (size_t k = 0; k < sections.size(); ++k) {
-          std::memcpy(&sections[k], blob.data() + sizeof(ShardHeader) +
-                                        k * sizeof(ShardSection),
-                      sizeof(ShardSection));
-        }
-      }
-      const uint64_t rows = static_cast<uint64_t>(s.row_count);
-      CADRL_RETURN_IF_ERROR(WireTable(
-          blob, sections, s.file, kTabEntities, prec, rows, dim,
-          &model->ent_segments_[static_cast<size_t>(i)]));
-      CADRL_RETURN_IF_ERROR(WireTable(
-          blob, sections, s.file, kTabRaw, prec, rows, dim,
-          &model->raw_segments_[static_cast<size_t>(i)]));
-      if (m.demand) {
-        CADRL_RETURN_IF_ERROR(WireTable(
-            blob, sections, s.file, kTabDemand, prec, rows, dim,
-            &model->demand_segments_[static_cast<size_t>(i)]));
-      }
-      model->mappings_[static_cast<size_t>(i)] = mapping;
-      ShardSetInfo& info = model->shard_infos_[static_cast<size_t>(i)];
-      info.file = s.file;
-      info.row_begin = s.row_begin;
-      info.row_count = s.row_count;
-      info.crc = s.crc;
-      info.generation = s.generation;
-      info.remapped = remapped;
-    }
-
-    // The meta shard: relations, categories, and the policy blob.
-    std::shared_ptr<const util::MmapFile> meta_mapping;
-    bool meta_remapped = true;
-    if (have_prev && previous->meta_crc_ == m.meta.crc &&
-        previous->meta_generation_ == m.meta.generation) {
-      meta_mapping = previous->mappings_.back();
-      meta_remapped = false;
-    } else {
-      CADRL_RETURN_IF_ERROR(
-          util::MmapFile::Open(dir + "/" + m.meta.file, &meta_mapping));
-    }
-    std::string_view meta_blob;
-    uint32_t meta_crc = 0;
-    CADRL_RETURN_IF_ERROR(
-        VerifyFooterOnView(
-            std::string_view(meta_mapping->data(), meta_mapping->size()),
-            meta_remapped && options.verify_payload, &meta_blob, &meta_crc)
-            .Annotate(m.meta.file));
-    if (meta_crc != m.meta.crc) {
-      return Status::Corruption(m.meta.file +
-                                ": meta shard CRC disagrees with manifest");
-    }
-    std::vector<ShardSection> meta_sections;
-    CADRL_RETURN_IF_ERROR(ValidateShardBlob(meta_blob, m.meta.file, prec,
-                                            /*kind=*/1, dim, 0, 0,
-                                            &meta_sections));
-    model->mappings_.back() = meta_mapping;
-    model->meta_crc_ = m.meta.crc;
-    model->meta_generation_ = m.meta.generation;
-
-    const uint64_t rel_rows = static_cast<uint64_t>(kg::kNumRelations + 1);
     ScoringView& sv = model->scoring_;
     sv.dim = m.dim;
     sv.mode = static_cast<ScoreMode>(m.mode);
@@ -902,33 +772,54 @@ class ShardLoader {
     sv.precision = prec;
     sv.num_entities = m.num_entities;
     sv.num_categories = m.num_categories;
-    CADRL_RETURN_IF_ERROR(WireTable(meta_blob, meta_sections, m.meta.file,
+
+    const uint32_t ids[3] = {kTabEntities, kTabRaw, kTabDemand};
+    RowTable* tables[3] = {&sv.entities, &sv.raw_entities,
+                           &sv.demand_entities};
+    std::vector<RowTable>* segments[3] = {&model->ent_segments_,
+                                          &model->raw_segments_,
+                                          &model->demand_segments_};
+    const int num_tables = m.demand ? 3 : 2;
+    for (int t = 0; t < num_tables && !flat; ++t) {
+      segments[t]->resize(num_blobs);
+      tables[t]->segments = segments[t]->data();
+      tables[t]->num_segments = static_cast<int>(num_blobs);
+      tables[t]->segment_rows = m.shard_rows;
+    }
+    for (size_t i = 0; i < num_blobs; ++i) {
+      const ShardBlob& b = entity[i];
+      const std::vector<ShardSection> sections = ReadSections(b.payload);
+      const int64_t row_begin = static_cast<int64_t>(i) * m.shard_rows;
+      const uint64_t rows = static_cast<uint64_t>(
+          std::min<int64_t>(m.shard_rows, m.num_entities - row_begin));
+      for (int t = 0; t < num_tables; ++t) {
+        RowTable* dst = flat ? tables[t] : &(*segments[t])[i];
+        CADRL_RETURN_IF_ERROR(WireTable(b.payload, sections, b.name, ids[t],
+                                        prec, rows, dim, dst));
+      }
+      model->blobs_.push_back(b.holder);
+    }
+
+    // The meta blob: relations, categories, and the policy parameters.
+    const std::vector<ShardSection> meta_sections = ReadSections(meta.payload);
+    const uint64_t rel_rows = static_cast<uint64_t>(kg::kNumRelations + 1);
+    CADRL_RETURN_IF_ERROR(WireTable(meta.payload, meta_sections, meta.name,
                                     kTabRelations, prec, rel_rows, dim,
                                     &sv.relations));
     CADRL_RETURN_IF_ERROR(WireTable(
-        meta_blob, meta_sections, m.meta.file, kTabCategories, prec,
+        meta.payload, meta_sections, meta.name, kTabCategories, prec,
         static_cast<uint64_t>(m.num_categories), dim, &sv.categories));
-    sv.entities.segments = model->ent_segments_.data();
-    sv.entities.num_segments = num_shards;
-    sv.entities.segment_rows = m.shard_rows;
-    sv.raw_entities.segments = model->raw_segments_.data();
-    sv.raw_entities.num_segments = num_shards;
-    sv.raw_entities.segment_rows = m.shard_rows;
-    if (m.demand) {
-      sv.demand_entities.segments = model->demand_segments_.data();
-      sv.demand_entities.num_segments = num_shards;
-      sv.demand_entities.segment_rows = m.shard_rows;
-    }
+    model->blobs_.push_back(meta.holder);
 
-    // Wire the policy view by walking the blob in the writer's flatten
-    // order with the dims the manifest recorded.
+    // Wire the policy view by walking the blob in FlattenPolicy's order
+    // with the dims the manifest recorded.
     const ShardSection* psec =
         FindSection(meta_sections, kTabPolicy, kPartParams);
     if (psec == nullptr) {
-      return Status::Corruption(m.meta.file + ": missing policy section");
+      return Status::Corruption(meta.name + ": missing policy section");
     }
     const float* cursor =
-        reinterpret_cast<const float*>(meta_blob.data() + psec->offset);
+        reinterpret_cast<const float*>(meta.payload.data() + psec->offset);
     const float* pend = cursor + psec->size / sizeof(float);
     PolicyParamsView& p = model->policy_;
     p.dim = m.policy_dim;
@@ -967,34 +858,171 @@ class ShardLoader {
                   (!m.linears[i].has_bias || plin[i]->bias != nullptr);
     }
     if (!policy_ok || cursor != pend) {
-      return Status::Corruption(m.meta.file +
+      return Status::Corruption(meta.name +
                                 ": policy section size disagrees with "
                                 "manifest dims");
     }
 
-    // Logical section footprint, mirroring Build's accounting; the heap
-    // arenas stay empty (that is the zero-parse claim — arena_size()==0).
+    // Logical section footprint: table payloads, int8 row metadata, and
+    // the policy blob — the same figures for every backing.
     size_t table_rows = static_cast<size_t>(m.num_entities) * 2 + rel_rows +
                         static_cast<size_t>(m.num_categories);
     if (m.demand) table_rows += static_cast<size_t>(m.num_entities);
-    const size_t table_elems = table_rows * static_cast<size_t>(m.dim);
     ArenaBytes& ab = model->arena_bytes_;
-    switch (prec) {
-      case Precision::kF32:
-        ab.store_rows = table_elems * sizeof(float);
-        break;
-      case Precision::kF16:
-        ab.store_rows = table_elems * sizeof(uint16_t);
-        break;
-      case Precision::kInt8:
-        ab.store_rows = table_elems * sizeof(int8_t);
-        ab.store_scales = table_rows * 2 * sizeof(uint16_t);
-        break;
+    ab.store_rows = table_rows * static_cast<size_t>(m.dim) * RowBytes(prec);
+    if (prec == Precision::kInt8) {
+      ab.store_scales = table_rows * 2 * sizeof(uint16_t);
     }
     ab.policy_params = psec->size;
     model->score_scale_ = m.score_scale;
+    return Status::OK();
+  }
 
-    for (const auto& mapping : model->mappings_) {
+  // The directory reader: manifest, mappings, footer/CRC checks and delta
+  // reuse of the previous model's mappings; the blobs then go through
+  // Wire like any other snapshot's.
+  static Status Load(const std::string& dir, const ShardLoadOptions& options,
+                     std::shared_ptr<const CompiledModel> previous,
+                     std::shared_ptr<const CompiledModel>* out) {
+    CADRL_CHECK(out != nullptr);
+    std::string payload;
+    CADRL_RETURN_IF_ERROR(
+        ReadFileVerified(dir + "/" + kShardManifestName, &payload));
+    Manifest m;
+    CADRL_RETURN_IF_ERROR(
+        ParseManifest(payload, &m).Annotate(dir + "/" + kShardManifestName));
+
+    // Shard coverage must be exactly [0, num_entities) in shard_rows
+    // steps: ResolveRow's division depends on every shard but the last
+    // holding precisely shard_rows rows.
+    const int num_shards = static_cast<int>(m.shards.size());
+    const int expect_shards = static_cast<int>(
+        (m.num_entities + m.shard_rows - 1) / m.shard_rows);
+    if (num_shards != expect_shards) {
+      return Status::Corruption(dir + ": manifest shard count " +
+                                std::to_string(num_shards) +
+                                " does not cover num_entities");
+    }
+    for (int i = 0; i < num_shards; ++i) {
+      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
+      const int64_t begin = static_cast<int64_t>(i) * m.shard_rows;
+      const int64_t rows =
+          std::min<int64_t>(m.shard_rows, m.num_entities - begin);
+      if (s.row_begin != begin || s.row_count != rows) {
+        return Status::Corruption(dir + ": shard " + s.file +
+                                  " has a non-contiguous row range");
+      }
+    }
+
+    auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+    model->from_dir_ = true;
+    const Precision prec = m.precision;
+    const uint32_t dim = static_cast<uint32_t>(m.dim);
+
+    // Index the previous model's shard set for delta reuse: an unchanged
+    // manifest entry means unchanged bytes, so the previous mapping (still
+    // pinned by its shared_ptr even if the file was replaced since) serves
+    // the new model too.
+    std::unordered_map<std::string, size_t> prev_by_file;
+    const bool have_prev = previous != nullptr && previous->mapped();
+    if (have_prev) {
+      for (size_t i = 0; i < previous->shard_infos_.size(); ++i) {
+        prev_by_file[previous->shard_infos_[i].file] = i;
+      }
+    }
+    auto reusable = [&](const ManifestShard& s) -> int64_t {
+      if (!have_prev) return -1;
+      const auto it = prev_by_file.find(s.file);
+      if (it == prev_by_file.end()) return -1;
+      const ShardSetInfo& p = previous->shard_infos_[it->second];
+      if (p.crc != s.crc || p.row_begin != s.row_begin ||
+          p.row_count != s.row_count || p.generation != s.generation) {
+        return -1;
+      }
+      return static_cast<int64_t>(it->second);
+    };
+
+    std::vector<ShardBlob> entity(static_cast<size_t>(num_shards));
+    model->shard_infos_.resize(static_cast<size_t>(num_shards));
+    ShardSetStats& stats = model->shard_stats_;
+    stats.shard_count = num_shards;
+    stats.generation = m.generation;
+
+    for (int i = 0; i < num_shards; ++i) {
+      const ManifestShard& s = m.shards[static_cast<size_t>(i)];
+      std::shared_ptr<const util::MmapFile> mapping;
+      const int64_t prev_idx = reusable(s);
+      bool remapped = false;
+      if (prev_idx >= 0) {
+        // Reused mappings were validated when first mapped and are
+        // immutable — no re-validation, which is what keeps a delta
+        // reload's cost proportional to the *changed* shards only.
+        mapping = previous->blobs_[static_cast<size_t>(prev_idx)];
+        ++stats.shards_reused;
+      } else {
+        CADRL_RETURN_IF_ERROR(util::MmapFile::Open(dir + "/" + s.file,
+                                                   &mapping));
+        remapped = true;
+        ++stats.shards_remapped;
+      }
+      std::string_view blob;
+      uint32_t footer_crc = 0;
+      CADRL_RETURN_IF_ERROR(
+          VerifyFooterOnView(std::string_view(mapping->data(),
+                                              mapping->size()),
+                             remapped && options.verify_payload, &blob,
+                             &footer_crc)
+              .Annotate(s.file));
+      if (footer_crc != s.crc) {
+        return Status::Corruption(s.file +
+                                  ": shard CRC disagrees with manifest "
+                                  "(stale or torn shard file)");
+      }
+      if (remapped) {
+        CADRL_RETURN_IF_ERROR(ValidateShardBlob(blob, s.file, prec,
+                                                /*kind=*/0, dim, s.row_begin,
+                                                s.row_count));
+      }
+      entity[static_cast<size_t>(i)] = {std::move(mapping), blob, s.file};
+      ShardSetInfo& info = model->shard_infos_[static_cast<size_t>(i)];
+      info.file = s.file;
+      info.row_begin = s.row_begin;
+      info.row_count = s.row_count;
+      info.crc = s.crc;
+      info.generation = s.generation;
+      info.remapped = remapped;
+    }
+
+    // The meta shard.
+    std::shared_ptr<const util::MmapFile> meta_mapping;
+    bool meta_remapped = true;
+    if (have_prev && previous->meta_crc_ == m.meta.crc &&
+        previous->meta_generation_ == m.meta.generation) {
+      meta_mapping = previous->blobs_.back();
+      meta_remapped = false;
+    } else {
+      CADRL_RETURN_IF_ERROR(
+          util::MmapFile::Open(dir + "/" + m.meta.file, &meta_mapping));
+    }
+    std::string_view meta_blob;
+    uint32_t meta_crc = 0;
+    CADRL_RETURN_IF_ERROR(
+        VerifyFooterOnView(
+            std::string_view(meta_mapping->data(), meta_mapping->size()),
+            meta_remapped && options.verify_payload, &meta_blob, &meta_crc)
+            .Annotate(m.meta.file));
+    if (meta_crc != m.meta.crc) {
+      return Status::Corruption(m.meta.file +
+                                ": meta shard CRC disagrees with manifest");
+    }
+    CADRL_RETURN_IF_ERROR(ValidateShardBlob(meta_blob, m.meta.file, prec,
+                                            /*kind=*/1, dim, 0, 0));
+    model->meta_crc_ = m.meta.crc;
+    model->meta_generation_ = m.meta.generation;
+
+    CADRL_RETURN_IF_ERROR(
+        Wire(m, entity, {meta_mapping, meta_blob, m.meta.file}, model.get()));
+    for (const auto& mapping : model->blobs_) {
       stats.mapped_bytes += mapping->size();
       if (!mapping->mapped()) stats.fallback_buffered = true;
     }
@@ -1008,6 +1036,26 @@ Status LoadFromShardDir(const std::string& dir,
                         std::shared_ptr<const CompiledModel> previous,
                         std::shared_ptr<const CompiledModel>* out) {
   return ShardLoader::Load(dir, options, std::move(previous), out);
+}
+
+std::shared_ptr<const CompiledModel> CompiledModel::Build(
+    const ScoringView& view, const PolicyParamsView& policy,
+    float score_scale, const CompiledModelOptions& options) {
+  CADRL_CHECK(view.precision == Precision::kF32)
+      << "Build quantizes from the live (f32) view";
+  const Precision prec = options.precision;
+  Manifest m = DescribeModel(view, policy, score_scale, prec);
+  m.shard_rows = std::max<int64_t>(1, view.num_entities);
+  const std::vector<ShardBlob> entity = {InProcessBlob(
+      BuildEntityShardBlob(view, prec, 0,
+                           static_cast<uint64_t>(view.num_entities)),
+      "in-process entity blob")};
+  const ShardBlob meta = InProcessBlob(BuildMetaShardBlob(view, policy, prec),
+                                       "in-process meta blob");
+  auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
+  const Status status = ShardLoader::Wire(m, entity, meta, model.get());
+  CADRL_CHECK(status.ok()) << status.ToString();
+  return model;
 }
 
 }  // namespace infer

@@ -10,12 +10,15 @@
 #include "infer/scoring.h"
 #include "util/status.h"
 
-// Relocatable on-disk snapshot format: a model compiled into a directory of
+// Relocatable snapshot format: a model compiled into a directory of
 // entity-range shard files plus one meta shard, published by an atomically
-// renamed manifest (DESIGN.md §16). Loading is open + mmap + validate — no
-// parse, no per-row copy — so reload latency is independent of arena size,
-// and a fine-tuned checkpoint that changed only some entity ranges
-// republishes (and remaps) only those shards.
+// renamed manifest (DESIGN.md §16). It is the only snapshot representation:
+// CompiledModel::Build encodes the same blobs into heap buffers (one entity
+// blob for all rows), and both paths wire their views through one routine.
+// Loading a directory is open + mmap + validate — no parse, no per-row copy
+// — so reload latency is independent of model size, and a fine-tuned
+// checkpoint that changed only some entity ranges republishes (and remaps)
+// only those shards.
 //
 // Directory layout:
 //   MANIFEST.cadrl          text manifest (CRC-footered, written last)
@@ -102,9 +105,9 @@ struct ShardLoadOptions {
 
 // Compiles one f32 view of the model (the live store's tables + policy
 // parameters) into `dir`, encoding rows to `options.precision` with the
-// exact kernels CompiledModel::Build uses — so the shard bytes are
-// bit-identical to the heap arena's and byte-identity of outputs is
-// structural. Creates `dir` if missing. Delta-aware: shards whose encoded
+// same encoders as CompiledModel::Build — so the shard bytes are the
+// in-process snapshot's bytes split by entity range, and byte-identity of
+// outputs is structural. Creates `dir` if missing. Delta-aware: shards whose encoded
 // payload CRC-matches the existing manifest entry are not rewritten and
 // keep their recorded generation. The manifest is written (atomically)
 // last, only if anything changed.
@@ -121,17 +124,11 @@ Status CompileToShardDir(const ScoringView& view,
 // from the same directory lineage, shards whose manifest entry (file, CRC,
 // row range, generation) is unchanged reuse the previous model's mapping —
 // a delta reload maps only the republished shards. The returned model
-// passes the same golden byte-identity tests as a heap-arena Build.
+// passes the same golden byte-identity tests as an in-process Build.
 Status LoadFromShardDir(const std::string& dir, const ShardLoadOptions& options,
                         std::shared_ptr<const CompiledModel> previous,
                         std::shared_ptr<const CompiledModel>* out);
 
-// CADRL_SNAPSHOT_SHARDED=1: route every in-process snapshot publish through
-// compile-to-dir + map (the cadrl_tests_mmap_snapshot ctest variant runs
-// the whole suite this way).
-bool ShardedSnapshotsFromEnv();
-// CADRL_SNAPSHOT_SHARD_ROWS override for the env-toggled publish path.
-int64_t ShardRowsFromEnv(int64_t fallback);
 // CADRL_SHARD_VERIFY=1: default ShardLoadOptions::verify_payload to true.
 bool ShardVerifyFromEnv();
 

@@ -84,17 +84,28 @@ Status MmapFile::Open(const std::string& path,
     }
   }
 
-  // Fallback: buffered read into a heap buffer. operator new[] guarantees
-  // alignment to __STDCPP_DEFAULT_NEW_ALIGNMENT__ (>= 16 on the supported
-  // toolchains), which satisfies every element type the shard format stores.
-  file->fallback_.reset(new char[size]);
-  const Status status = ReadAll(fd, path, size, file->fallback_.get());
+  // Fallback: buffered read into a heap buffer. std::string storage comes
+  // from operator new, aligned to __STDCPP_DEFAULT_NEW_ALIGNMENT__ (>= 16 on
+  // the supported toolchains), which satisfies every element type the shard
+  // format stores.
+  file->fallback_.resize(size);
+  const Status status = ReadAll(fd, path, size, file->fallback_.data());
   ::close(fd);
   if (!status.ok()) return status;
-  file->data_ = file->fallback_.get();
+  file->data_ = file->fallback_.data();
   file->mapped_ = false;
   *out = std::move(file);
   return Status::OK();
+}
+
+std::shared_ptr<const MmapFile> MmapFile::FromBytes(std::string bytes,
+                                                    std::string name) {
+  std::shared_ptr<MmapFile> file(new MmapFile());
+  file->path_ = std::move(name);
+  file->fallback_ = std::move(bytes);
+  file->data_ = file->fallback_.data();
+  file->size_ = file->fallback_.size();
+  return file;
 }
 
 MmapFile::~MmapFile() {

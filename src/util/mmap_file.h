@@ -15,8 +15,12 @@ namespace util {
 // or is disabled (CADRL_NO_MMAP=1). Either way `data()` is a stable,
 // immutable, suitably aligned view of the file bytes for the lifetime of
 // the object: mmap bases are page-aligned and the fallback buffer comes
-// from operator new[] (aligned to the default new alignment), so callers
+// from operator new (aligned to the default new alignment), so callers
 // may reinterpret section offsets that the writer aligned.
+//
+// The same buffered state also holds bytes that never touched a file
+// (FromBytes): an in-process snapshot keeps its shard-format blobs here, so
+// every snapshot's bytes live behind one holder type.
 //
 // Instances are shared by shared_ptr: the sharded snapshot loader hands the
 // same mapping to successive CompiledModel generations (delta reload), and
@@ -34,6 +38,10 @@ class MmapFile {
   // an error.
   static Status Open(const std::string& path,
                      std::shared_ptr<const MmapFile>* out);
+  // Takes ownership of `bytes` as a buffered (unmapped) instance named
+  // `name`; no copy is made.
+  static std::shared_ptr<const MmapFile> FromBytes(std::string bytes,
+                                                   std::string name);
 
   ~MmapFile();
 
@@ -42,7 +50,8 @@ class MmapFile {
 
   const char* data() const { return data_; }
   size_t size() const { return size_; }
-  // True when the bytes are a real mapping; false on the buffered fallback.
+  // True when the bytes are a real mapping; false on the buffered fallback
+  // and for FromBytes instances.
   bool mapped() const { return mapped_; }
   const std::string& path() const { return path_; }
 
@@ -53,7 +62,7 @@ class MmapFile {
   const char* data_ = nullptr;
   size_t size_ = 0;
   bool mapped_ = false;
-  std::unique_ptr<char[]> fallback_;  // owns the bytes when !mapped_
+  std::string fallback_;  // owns the bytes when !mapped_
 };
 
 }  // namespace util

@@ -2,15 +2,16 @@
 // (infer/shard_layout.h, DESIGN.md §16). The claims under test:
 //
 //   1. byte identity — a shard-dir-backed (mmap'ed) snapshot answers
-//      Recommend / FindPaths / eval metrics byte-for-byte like the heap
-//      arena it was compiled from, at every precision (f32/f16/int8),
-//      across eval thread counts, and under the buffered-read fallback.
-//      (Both kernel backends are covered because this whole binary re-runs
-//      under CADRL_KERNELS=scalar as the cadrl_tests_scalar_kernels ctest
-//      entry.)
+//      Recommend / FindPaths / eval metrics byte-for-byte like the
+//      in-process snapshot it was compiled from, at every precision
+//      (f32/f16/int8), across eval thread counts, under the buffered-read
+//      fallback, and for a one-shard directory, whose tables wire flat like
+//      the in-process build's. (Both kernel backends are covered because
+//      this whole binary re-runs under CADRL_KERNELS=scalar as the
+//      cadrl_tests_scalar_kernels ctest entry.)
 //   2. zero-parse reload — LoadFromShardDir performs no full-model parse:
-//      the loaded model's heap arenas are empty, no ag::Tensor is ever
-//      allocated, and the bytes live in the file mappings.
+//      no ag::Tensor is ever allocated, and the bytes live in the file
+//      mappings.
 //   3. delta — recompiling after a localized change rewrites exactly the
 //      changed shard, a delta reload remaps only that shard and inherits
 //      every other mapping from the previous model, and an unchanged
@@ -18,6 +19,9 @@
 //   4. corruption — bit flips in a shard header, a payload (with
 //      verify_payload), or the manifest are rejected, and a failed reload
 //      leaves the previous snapshot serving.
+//   5. one representation — an in-process publish is the same shard-format
+//      bytes in heap buffers: not mapped, zero shard status, flat tables,
+//      and the same section accounting as the model compiled to a dir.
 
 #include <cstddef>
 #include <cstdint>
@@ -110,7 +114,8 @@ class ShardSnapshotTest : public ::testing::Test {
 
   void TearDown() override {
     Failpoints::Instance().DisarmAll();
-    // Every test leaves the shared model back on a fresh f32 heap arena.
+    // Every test leaves the shared model back on a fresh in-process f32
+    // snapshot.
     model_->set_snapshot_precision(Precision::kF32);
     model_->RepublishSnapshot();
   }
@@ -140,11 +145,9 @@ TEST_F(ShardSnapshotTest, MappedSnapshotIsByteIdenticalAtEveryPrecision) {
     SCOPED_TRACE(infer::PrecisionName(p));
     model_->set_snapshot_precision(p);
     model_->RepublishSnapshot();
-    // (Under CADRL_SNAPSHOT_SHARDED=1 this baseline is itself mapped —
-    // the comparison then locks mapped-vs-mapped self-consistency, while
-    // the default run locks heap-vs-mapped identity.)
+    ASSERT_FALSE(model_->CurrentSnapshot()->mapped());
 
-    // Heap-arena answers first: per-user recs + paths and whole-dataset
+    // In-process answers first: per-user recs + paths and whole-dataset
     // eval metrics at two thread counts.
     std::vector<std::vector<eval::Recommendation>> heap_recs;
     std::vector<std::vector<eval::RecommendationPath>> heap_paths;
@@ -241,10 +244,10 @@ TEST_F(ShardSnapshotTest, ReloadIsZeroParse) {
 
   const auto snap = model_->CurrentSnapshot();
   ASSERT_TRUE(snap->mapped());
-  // No heap arena: every parameter byte lives in the mappings.
-  EXPECT_EQ(snap->arena_size(), 0u);
+  // Every parameter byte lives in the mappings.
   EXPECT_GT(snap->arena_bytes().total(), 0u) << "logical accounting intact";
-  EXPECT_GT(snap->shard_stats().mapped_bytes, 0u);
+  EXPECT_GE(snap->shard_stats().mapped_bytes, snap->arena_bytes().total());
+  EXPECT_FALSE(snap->shard_stats().fallback_buffered);
   EXPECT_GE(snap->shard_stats().shard_count, 2);
   EXPECT_EQ(snap->shard_stats().shards_remapped,
             snap->shard_stats().shard_count)
@@ -401,23 +404,112 @@ TEST_F(ShardSnapshotTest, CorruptionIsRejectedAndOldSnapshotKeepsServing) {
   EXPECT_EQ(model_->CurrentSnapshot(), serving);
 }
 
-// ---------- env-toggled publish path ----------
+// ---------- 5. one representation ----------
 
-// CADRL_SNAPSHOT_SHARDED=1 (the cadrl_tests_mmap_snapshot ctest variant)
-// routes every publish through compile->map; this test asserts the toggle
-// actually engaged there, and that the plain build stays heap-backed when
-// the variable is unset.
-TEST_F(ShardSnapshotTest, EnvTogglePublishMatchesEnvironment) {
-  model_->RepublishSnapshot();
-  const auto snap = model_->CurrentSnapshot();
-  ASSERT_NE(snap, nullptr);
-  if (infer::ShardedSnapshotsFromEnv()) {
-    EXPECT_TRUE(snap->mapped());
-    EXPECT_EQ(snap->arena_size(), 0u);
-    EXPECT_GT(snap->shard_stats().mapped_bytes, 0u);
-  } else {
+void ExpectFlat(const infer::ScoringView& sv) {
+  for (const infer::RowTable* t :
+       {&sv.entities, &sv.raw_entities, &sv.demand_entities, &sv.relations,
+        &sv.categories}) {
+    EXPECT_FALSE(t->sharded());
+  }
+  EXPECT_TRUE(sv.entities.present());
+  EXPECT_TRUE(sv.raw_entities.present());
+}
+
+void ExpectSameArenaBytes(const infer::ArenaBytes& a,
+                          const infer::ArenaBytes& b) {
+  EXPECT_EQ(a.store_rows, b.store_rows);
+  EXPECT_EQ(a.store_scales, b.store_scales);
+  EXPECT_EQ(a.policy_params, b.policy_params);
+}
+
+// An in-process publish holds shard-format bytes in heap buffers: nothing
+// is mapped, the shard plane reads zero, one blob per table means flat
+// tables, and the section accounting matches the model compiled to a dir.
+TEST_F(ShardSnapshotTest, InProcessPublishIsFlatUnmappedAndSameSized) {
+  for (const Precision p :
+       {Precision::kF32, Precision::kF16, Precision::kInt8}) {
+    SCOPED_TRACE(infer::PrecisionName(p));
+    model_->set_snapshot_precision(p);
+    model_->RepublishSnapshot();
+    const auto snap = model_->CurrentSnapshot();
+    ASSERT_NE(snap, nullptr);
     EXPECT_FALSE(snap->mapped());
-    EXPECT_GT(snap->arena_size(), 0u);
+    EXPECT_EQ(snap->precision(), p);
+    EXPECT_EQ(snap->shard_stats().shard_count, 0);
+    EXPECT_EQ(snap->shard_stats().mapped_bytes, 0u);
+    EXPECT_EQ(snap->shard_stats().generation, 0u);
+    EXPECT_TRUE(snap->shard_infos().empty());
+    const eval::Recommender::ShardServingStatus status = model_->ShardStatus();
+    EXPECT_EQ(status.shard_count, 0);
+    EXPECT_EQ(status.mapped_bytes, 0u);
+    EXPECT_EQ(status.generation, 0u);
+    EXPECT_EQ(status.shards_remapped, 0);
+    EXPECT_EQ(status.shards_reused, 0);
+    EXPECT_TRUE(status.shard_generations.empty());
+    ExpectFlat(snap->scoring());
+
+    const std::string dir =
+        FreshDir(std::string("inprocess_") + infer::PrecisionName(p));
+    ASSERT_TRUE(model_->CompileSnapshotToDir(dir, kShardRows, nullptr).ok());
+    std::shared_ptr<const infer::CompiledModel> loaded;
+    ASSERT_TRUE(infer::LoadFromShardDir(dir, {}, nullptr, &loaded).ok());
+    ASSERT_TRUE(loaded->scoring().entities.sharded());
+    EXPECT_GT(snap->arena_bytes().total(), 0u);
+    ExpectSameArenaBytes(snap->arena_bytes(), loaded->arena_bytes());
+  }
+}
+
+// shard_rows >= num_entities: one entity shard, wired flat like the
+// in-process build, and answering byte for byte like it.
+TEST_F(ShardSnapshotTest, OneShardDirectoryIsFlatAndByteIdentical) {
+  const int64_t num_entities =
+      static_cast<int64_t>(dataset_->graph.num_entities());
+  for (const Precision p : {Precision::kF32, Precision::kInt8}) {
+    SCOPED_TRACE(infer::PrecisionName(p));
+    model_->set_snapshot_precision(p);
+    model_->RepublishSnapshot();
+    const auto in_process = model_->CurrentSnapshot();
+    ASSERT_FALSE(in_process->mapped());
+    std::vector<std::vector<eval::Recommendation>> recs;
+    std::vector<std::vector<eval::RecommendationPath>> paths;
+    for (int u = 0; u < 3; ++u) {
+      const kg::EntityId user = dataset_->users[static_cast<size_t>(u)];
+      recs.push_back(model_->Recommend(user, 10));
+      paths.push_back(model_->FindPaths(user, 5));
+    }
+    const eval::EvalResult eval_in_process =
+        eval::EvaluateRecommender(model_, *dataset_, 10, 0, /*threads=*/1);
+
+    const std::string dir =
+        FreshDir(std::string("one_shard_") + infer::PrecisionName(p));
+    infer::ShardWriteStats wstats;
+    ASSERT_TRUE(
+        model_->CompileSnapshotToDir(dir, num_entities, &wstats).ok());
+    EXPECT_EQ(wstats.shards_total, 1);
+    ASSERT_TRUE(model_->ReloadFromShardDir(dir).ok());
+    const auto snap = model_->CurrentSnapshot();
+    ASSERT_TRUE(snap->mapped());
+    EXPECT_EQ(snap->shard_stats().shard_count, 1);
+    EXPECT_EQ(snap->precision(), p);
+    ExpectFlat(snap->scoring());
+    ExpectSameArenaBytes(in_process->arena_bytes(), snap->arena_bytes());
+
+    for (int u = 0; u < 3; ++u) {
+      const kg::EntityId user = dataset_->users[static_cast<size_t>(u)];
+      ExpectSameRecs(recs[static_cast<size_t>(u)], model_->Recommend(user, 10));
+      const auto got = model_->FindPaths(user, 5);
+      ASSERT_EQ(got.size(), paths[static_cast<size_t>(u)].size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].steps, paths[static_cast<size_t>(u)][i].steps);
+      }
+    }
+    const eval::EvalResult eval_mapped =
+        eval::EvaluateRecommender(model_, *dataset_, 10, 0, /*threads=*/1);
+    EXPECT_EQ(eval_in_process.ndcg, eval_mapped.ndcg);
+    EXPECT_EQ(eval_in_process.recall, eval_mapped.recall);
+    EXPECT_EQ(eval_in_process.hit_rate, eval_mapped.hit_rate);
+    EXPECT_EQ(eval_in_process.precision, eval_mapped.precision);
   }
 }
 
