@@ -34,6 +34,7 @@
 #include "data/serialize.h"
 #include "eval/evaluator.h"
 #include "eval/path_metrics.h"
+#include "infer/compiled_model.h"
 #include "infer/precision.h"
 #include "infer/shard_layout.h"
 #include "serve/recommend_service.h"
@@ -569,6 +570,12 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
   // file does not exist yet) leave the current snapshot serving.
   std::atomic<bool> reloads_done{false};
   int64_t reload_failures = 0;
+  // A shard directory is published once before the stream starts, so it
+  // serves every request; the poller below then only picks up recompiles.
+  if (!flags.shard_dir.empty() &&
+      !service.ReloadFromShardDir(flags.shard_dir).ok()) {
+    ++reload_failures;
+  }
   std::thread reloader;
   if (!flags.reload_from.empty() || !flags.shard_dir.empty()) {
     reloader = std::thread([&] {
@@ -625,6 +632,8 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
     }
   }
   const serve::RecommendService::Stats stats = service.stats();
+  const std::shared_ptr<const infer::CompiledModel> served =
+      model->CurrentSnapshot();
   std::cout << "served " << stats.requests << " requests: " << stats.full
             << " full, " << stats.cached << " cached, " << stats.popularity
             << " popularity, " << stats.failed << " failed; "
@@ -634,7 +643,9 @@ int Serve(const std::string& dataset_path, const std::string& model_path,
             << service.primary_breaker().trips() << ", cache "
             << service.cache_breaker().trips() << "\n"
             << "serving arena: "
-            << infer::PrecisionName(model->snapshot_precision()) << ", "
+            << (served != nullptr ? infer::PrecisionName(served->precision())
+                                  : "none")
+            << ", "
             << stats.arena_store_row_bytes << " B rows + "
             << stats.arena_store_scale_bytes << " B scales + "
             << stats.arena_policy_param_bytes << " B policy\n";

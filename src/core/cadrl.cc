@@ -1084,7 +1084,9 @@ Status CadrlRecommender::FindPaths(kg::EntityId user, int max_paths,
 // Tape-path policy forwards for the beam search: the legacy autograd
 // composition over fresh constant-leaf tensors, wrapped behind the driver
 // interface BeamSearch expects. Kept as the golden reference the compiled
-// driver is byte-compared against.
+// driver is byte-compared against, so it shares nothing between
+// siblings: every beam element picks its own category and every survivor
+// advances from a fresh copy of its parent's state.
 struct CadrlRecommender::TapeBeamDriver {
   using State = SharedPolicyNetworks::RolloutState;
 
@@ -1100,8 +1102,13 @@ struct CadrlRecommender::TapeBeamDriver {
         rec.store_->EntityTensor(user));
   }
 
-  kg::CategoryId PickCategory(const State& state, kg::CategoryId current,
-                              const std::vector<kg::CategoryId>& actions) {
+  void StartHop() {}
+
+  template <typename ActionsFn>
+  kg::CategoryId PickCategory(int group, const State& state,
+                              kg::CategoryId current, ActionsFn&& actions_of) {
+    (void)group;
+    const std::vector<kg::CategoryId> actions = actions_of();
     const ag::Tensor logits = rec.policy_->CategoryLogits(
         state, user_t, rec.store_->CategoryTensor(current),
         rec.CategoryActionMatrix(actions));
@@ -1126,11 +1133,12 @@ struct CadrlRecommender::TapeBeamDriver {
     out->assign(log_probs.data(), log_probs.data() + log_probs.numel());
   }
 
-  void Advance(State* state, kg::EntityId user, kg::CategoryId category,
-               kg::Relation last_rel, kg::EntityId entity) {
-    (void)user;  // the user tensor is cached from InitialState
+  void Advance(int parent_index, const State& parent, kg::CategoryId category,
+               kg::Relation last_rel, kg::EntityId entity, State* child) {
+    (void)parent_index;
+    *child = parent;
     rec.policy_->Advance(
-        state, user_t,
+        child, user_t,
         category != kg::kInvalidCategory ? rec.store_->CategoryTensor(category)
                                          : rec.store_->ZeroTensor(),
         rec.store_->RelationTensor(last_rel), rec.store_->EntityTensor(entity));
@@ -1144,6 +1152,13 @@ struct CadrlRecommender::TapeBeamDriver {
 // CompiledModel snapshot through infer/policy_forward, allocating no tensor
 // graph nodes. Steady state reuses the scratch buffers below, so a warmed
 // driver performs zero heap allocation per forward.
+//
+// Siblings — the children of one beam parent — carry the same category
+// state and the same category move, so the driver does their common work
+// once per hop and parent: the category pick (ValidActions plus the Eq 15
+// head) once per sibling group, and AdvanceSharedRaw once per parent with
+// only AdvanceChildRaw per survivor. Both are memoized by beam index and
+// stamped with the hop, so StartHop invalidates them without clearing.
 //
 // The snapshot's tables may be quantized (f16/int8): every policy-forward
 // operand goes through RowSpan, which is zero-copy for f32 and dequantizes
@@ -1193,8 +1208,25 @@ struct CadrlRecommender::CompiledBeamDriver {
     return state;
   }
 
-  kg::CategoryId PickCategory(const State& state, kg::CategoryId current,
-                              const std::vector<kg::CategoryId>& actions) {
+  void StartHop() { ++hop_; }
+
+  template <typename ActionsFn>
+  kg::CategoryId PickCategory(int group, const State& state,
+                              kg::CategoryId current, ActionsFn&& actions_of) {
+    const size_t g = static_cast<size_t>(group);
+    if (g >= pick_hop.size()) {
+      pick_hop.resize(g + 1, -1);
+      picked.resize(g + 1, kg::kInvalidCategory);
+    }
+    if (pick_hop[g] != hop_) {
+      picked[g] = PickCategoryOnce(state, current, actions_of());
+      pick_hop[g] = hop_;
+    }
+    return picked[g];
+  }
+
+  kg::CategoryId PickCategoryOnce(const State& state, kg::CategoryId current,
+                                  const std::vector<kg::CategoryId>& actions) {
     const int d = sv.dim;
     const int n = static_cast<int>(actions.size());
     action_rows.resize(static_cast<size_t>(n) * d);
@@ -1271,12 +1303,22 @@ struct CadrlRecommender::CompiledBeamDriver {
                             static_cast<size_t>(n));
   }
 
-  void Advance(State* state, kg::EntityId user, kg::CategoryId category,
-               kg::Relation last_rel, kg::EntityId entity) {
-    (void)user;
-    infer::AdvanceRaw(pv, state, User(),
-                      category != kg::kInvalidCategory ? Cat(category) : Zero(),
-                      Rel(last_rel), Ent(entity), &scratch);
+  void Advance(int parent_index, const State& parent, kg::CategoryId category,
+               kg::Relation last_rel, kg::EntityId entity, State* child) {
+    const size_t p = static_cast<size_t>(parent_index);
+    if (p >= shared_hop.size()) {
+      shared_hop.resize(p + 1, -1);
+      shared.resize(p + 1);
+    }
+    if (shared_hop[p] != hop_) {
+      infer::AdvanceSharedRaw(
+          pv, parent, User(),
+          category != kg::kInvalidCategory ? Cat(category) : Zero(), &scratch,
+          &shared[p]);
+      shared_hop[p] = hop_;
+    }
+    infer::AdvanceChildRaw(pv, parent, shared[p], User(), Rel(last_rel),
+                           Ent(entity), &scratch, child);
   }
 
   const infer::ScoringView& sv;
@@ -1295,6 +1337,14 @@ struct CadrlRecommender::CompiledBeamDriver {
   // request never switches mode mid-search.
   infer::StepBatcher* const batcher;
   kg::EntityId user_ = kg::kInvalidEntity;
+  // Per-hop memos, indexed by beam index and valid while their stamp
+  // equals hop_: the category picked for a sibling group (keyed by the
+  // group's parent in the previous hop's beam), and the shared advance
+  // half of a parent in the current beam.
+  int hop_ = 0;
+  std::vector<int> pick_hop, shared_hop;
+  std::vector<kg::CategoryId> picked;
+  std::vector<infer::AdvanceShared> shared;
 };
 
 Status CadrlRecommender::RecommendWithContext(
@@ -1328,12 +1378,16 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
                                     std::vector<eval::Recommendation>* out) {
   const bool dual = options_.use_dual_agent;
 
+  // One beam element. Its recurrent state sits at the same index of a
+  // parallel state vector, and only beam survivors get one: a child names
+  // its parent's index in the previous hop's beam instead of copying the
+  // parent's state, and the children of one parent form a sibling group.
   struct BeamElement {
     kg::EntityId entity;
     kg::Relation last_rel;
     kg::CategoryId category;
-    typename Driver::State state;
     double log_prob;
+    int parent;
     std::vector<eval::PathStep> steps;
   };
 
@@ -1352,12 +1406,13 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
   root.category =
       dual ? GreedyInitialCategory(view, user) : kg::kInvalidCategory;
   const bool category_active = dual && root.category != kg::kInvalidCategory;
-  root.state =
-      drv.InitialState(user, category_active ? root.category
-                                             : kg::kInvalidCategory);
   root.log_prob = 0.0;
+  root.parent = 0;
 
-  std::vector<BeamElement> beam = {std::move(root)};
+  std::vector<BeamElement> beam = {std::move(root)}, next_beam;
+  std::vector<typename Driver::State> states, next_states;
+  states.push_back(drv.InitialState(
+      user, category_active ? beam[0].category : kg::kInvalidCategory));
   struct Candidate {
     double score;
     eval::RecommendationPath path;
@@ -1375,8 +1430,11 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
     // beams are abandoned — a degraded answer comes from the serving
     // layer's fallback chain, not from a half-expanded beam.
     if (ctx != nullptr) CADRL_RETURN_IF_ERROR(ctx->Check());
-    std::vector<BeamElement> next_beam;
-    for (BeamElement& elem : beam) {
+    drv.StartHop();
+    next_beam.clear();
+    for (size_t bi = 0; bi < beam.size(); ++bi) {
+      const BeamElement& elem = beam[bi];
+      const typename Driver::State& state = states[bi];
       if (ctx != nullptr) {
         CADRL_RETURN_IF_ERROR(ctx->Check());
         // Chaos surface for the scoring hot path: latency injection makes
@@ -1386,12 +1444,13 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
         }
       }
       // Category agent moves greedily, providing the milestone.
+      // Siblings share the category state this reads, so the driver may
+      // answer a whole sibling group (elem.parent) with one pick.
       kg::CategoryId next_category = elem.category;
       if (category_active) {
-        const auto cat_actions =
-            category_env_->ValidActions(user, elem.category, &view);
-        next_category = drv.PickCategory(elem.state, elem.category,
-                                         cat_actions);
+        next_category = drv.PickCategory(elem.parent, state, elem.category, [&] {
+          return category_env_->ValidActions(user, elem.category, &view);
+        });
         milestones.insert(next_category);
       }
 
@@ -1400,7 +1459,7 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
                                     category_active ? &milestones : nullptr,
                                     &score_memo);
       std::vector<float> log_probs;
-      drv.EntityLogProbs(elem.state, elem.entity, elem.last_rel,
+      drv.EntityLogProbs(state, elem.entity, elem.last_rel,
                          category_active ? next_category
                                          : kg::kInvalidCategory,
                          ent_actions, &log_probs);
@@ -1479,15 +1538,13 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
             elem.log_prob +
             static_cast<double>(
                 log_probs[static_cast<size_t>(ranked[i].second)]);
-        child.steps = elem.steps;
-        if (action.relation != kg::Relation::kSelfLoop) {
-          child.steps.push_back({action.relation, action.dst});
-        }
-        // Recurrent state advanced lazily, only for beam survivors.
-        child.state = elem.state;
+        child.parent = static_cast<int>(bi);
         next_beam.push_back(std::move(child));
       }
     }
+    // The last hop's survivors are never expanded: no ranking, no path
+    // copies, no state advance.
+    if (l + 1 == options_.max_path_length) break;
     std::sort(next_beam.begin(), next_beam.end(),
               [](const BeamElement& a, const BeamElement& b) {
                 if (a.log_prob != b.log_prob) return a.log_prob > b.log_prob;
@@ -1496,12 +1553,22 @@ Status CadrlRecommender::BeamSearch(Driver& drv, kg::EntityId user, int k,
     if (static_cast<int64_t>(next_beam.size()) > options_.beam_width) {
       next_beam.resize(static_cast<size_t>(options_.beam_width));
     }
-    for (BeamElement& child : next_beam) {
-      drv.Advance(&child.state, user,
+    // Paths and recurrent states for the survivors only, each derived from
+    // its parent; siblings share the parent and the category move.
+    next_states.resize(next_beam.size());
+    for (size_t ci = 0; ci < next_beam.size(); ++ci) {
+      BeamElement& child = next_beam[ci];
+      const size_t parent = static_cast<size_t>(child.parent);
+      child.steps = beam[parent].steps;
+      if (child.last_rel != kg::Relation::kSelfLoop) {
+        child.steps.push_back({child.last_rel, child.entity});
+      }
+      drv.Advance(child.parent, states[parent],
                   category_active ? child.category : kg::kInvalidCategory,
-                  child.last_rel, child.entity);
+                  child.last_rel, child.entity, &next_states[ci]);
     }
-    beam = std::move(next_beam);
+    beam.swap(next_beam);
+    states.swap(next_states);
     if (beam.empty()) break;
   }
 

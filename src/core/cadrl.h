@@ -253,6 +253,9 @@ class CadrlRecommender : public eval::Recommender {
   // either ag tensors (TapeBeamDriver) or raw snapshot buffers
   // (CompiledBeamDriver). `view`/`score_scale` come from the same backend
   // as the driver, so one request never mixes live and snapshot tables.
+  // The search is hop-synchronous (DESIGN.md §12): picks and advances name
+  // the beam parent they descend from, so a driver may compute what
+  // siblings share once per parent.
   struct TapeBeamDriver;
   struct CompiledBeamDriver;
   template <typename Driver>

@@ -56,6 +56,14 @@ struct RawPolicyState {
   std::vector<float> ent_h, ent_c;
 };
 
+// The part of one Eqs 13-14 advance that every child of one beam parent
+// shares: it reads only the parent's state, the user and the hop's
+// category move, never the child's own (relation, entity) move.
+struct AdvanceShared {
+  std::vector<float> cat_h, cat_c;  // the category agent's next state
+  std::vector<float> ent_gh;        // entity LSTM hidden product W_h * h_e
+};
+
 // Reusable per-call scratch buffers; one instance per beam search /
 // thread. Keeping them out of the functions makes the steady state
 // allocation-free once the vectors have grown to their working sizes.
@@ -68,6 +76,7 @@ struct PolicyScratch {
   std::vector<float> mixed_c, mixed_e;     // Eq 13-14 mixed hiddens
   std::vector<float> nh, nc;               // next h/c before commit
   std::vector<float> features, a1, r1, hid;  // head pipeline
+  AdvanceShared shared;                    // AdvanceRaw's shared half
 };
 
 // Eq 12: seeds both agents from zero LSTM state with the episode's first
@@ -80,10 +89,35 @@ void InitialStateRaw(const PolicyParamsView& view, std::span<const float> user,
 
 // Eqs 13-14: advances both histories after the step's moves, mixing the
 // previous hidden outputs across agents when share_history is on.
+// Defined as AdvanceSharedRaw followed by AdvanceChildRaw on the same
+// state, so the one-state advance and the sibling-group advance of the
+// beam search share one formula.
 void AdvanceRaw(const PolicyParamsView& view, RawPolicyState* state,
                 std::span<const float> user, std::span<const float> cat_emb,
                 std::span<const float> rel_emb, std::span<const float> ent_emb,
                 PolicyScratch* scratch);
+
+// Shared half of AdvanceRaw, computed once per beam parent: the history
+// mixes (when share_history is on), the whole category-agent LSTM step and
+// the entity LSTM's hidden product. `shared` must not live in `scratch`'s
+// other fields; scratch->shared is fine.
+void AdvanceSharedRaw(const PolicyParamsView& view,
+                      const RawPolicyState& parent,
+                      std::span<const float> user,
+                      std::span<const float> cat_emb, PolicyScratch* scratch,
+                      AdvanceShared* shared);
+
+// Child half of AdvanceRaw, once per child of `parent`: the entity LSTM's
+// input product and gates for the child's (relation, entity) move, then
+// the child's full state (category half copied from `shared`). `child`
+// may be `parent`; `shared` is only read, so one result serves every
+// sibling while `scratch` is reused between them.
+void AdvanceChildRaw(const PolicyParamsView& view,
+                     const RawPolicyState& parent, const AdvanceShared& shared,
+                     std::span<const float> user,
+                     std::span<const float> rel_emb,
+                     std::span<const float> ent_emb, PolicyScratch* scratch,
+                     RawPolicyState* child);
 
 // Eq 15: logits of `num_actions` category actions against a pre-stacked
 // (num_actions x d) action matrix. `out` has length num_actions.

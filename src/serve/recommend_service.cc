@@ -392,8 +392,11 @@ ServeResponse RecommendService::Process(
   if (!served) {
     // Ladder floor: pure in-memory lookup, cannot fail. Its execution time
     // feeds the early-shed gate — a future request whose remaining budget
-    // can't cover even this stage's p95 is shed at admission.
+    // can't cover even this stage's p95 is shed at admission. Its
+    // failpoint is a latency-only seam (a fire is ignored), so tests can
+    // give the floor a run time on a virtual clock.
     const auto floor_start = time_->Now();
+    (void)CADRL_FAILPOINT("serve/floor");
     resp.recs = PopularityFor(req.user, req.k);
     admission_->OnFloorSample(time_->Now() - floor_start);
     resp.level = DegradationLevel::kPopularity;

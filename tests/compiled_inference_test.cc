@@ -19,7 +19,9 @@
 
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,29 @@ class CompiledInferenceTest : public ::testing::Test {
   // Every test must leave the shared model on the compiled path.
   void TearDown() override { model_->set_use_compiled_inference(true); }
 
+  // The shared model plus one model per sharing branch of the compiled
+  // beam driver (DESIGN.md §12), fitted here on demand:
+  // share_history=false runs no history mix, and use_dual_agent=false
+  // leaves the category agent inactive so every advance reads the zero
+  // category row. Each is byte-compared against the per-element tape
+  // driver.
+  static void ForEachGoldenModel(
+      const std::function<void(const char*, CadrlRecommender*)>& check) {
+    check("default", model_);
+    CadrlOptions no_share = GoldenOptions();
+    no_share.share_history = false;
+    CadrlOptions single = GoldenOptions();
+    single.use_dual_agent = false;
+    for (const auto& [name, options] :
+         {std::pair{"share_history=false", no_share},
+          std::pair{"use_dual_agent=false", single}}) {
+      CadrlRecommender model(options);
+      model.set_snapshot_precision(infer::Precision::kF32);
+      ASSERT_TRUE(model.Fit(*dataset_).ok()) << name;
+      check(name, &model);
+    }
+  }
+
   static data::Dataset* dataset_;
   static CadrlRecommender* model_;
 };
@@ -105,25 +130,33 @@ CadrlRecommender* CompiledInferenceTest::model_ = nullptr;
 // ---------- 1. Byte identity ----------
 
 TEST_F(CompiledInferenceTest, RecommendMatchesTapeByteForByte) {
-  for (kg::EntityId user : dataset_->users) {
-    model_->set_use_compiled_inference(true);
-    const auto compiled = model_->Recommend(user, 10);
-    model_->set_use_compiled_inference(false);
-    const auto tape = model_->Recommend(user, 10);
-    ASSERT_FALSE(compiled.empty()) << "user " << user;
-    ExpectSameRecs(compiled, tape);
-  }
+  ForEachGoldenModel([](const char* name, CadrlRecommender* model) {
+    SCOPED_TRACE(name);
+    for (kg::EntityId user : dataset_->users) {
+      model->set_use_compiled_inference(true);
+      const auto compiled = model->Recommend(user, 10);
+      model->set_use_compiled_inference(false);
+      const auto tape = model->Recommend(user, 10);
+      ASSERT_FALSE(compiled.empty()) << "user " << user;
+      ExpectSameRecs(compiled, tape);
+    }
+    model->set_use_compiled_inference(true);
+  });
 }
 
 TEST_F(CompiledInferenceTest, FindPathsMatchesTapeByteForByte) {
-  for (size_t u = 0; u < dataset_->users.size(); u += 2) {
-    const kg::EntityId user = dataset_->users[u];
-    model_->set_use_compiled_inference(true);
-    const auto compiled = model_->FindPaths(user, 5);
-    model_->set_use_compiled_inference(false);
-    const auto tape = model_->FindPaths(user, 5);
-    ExpectSamePaths(compiled, tape);
-  }
+  ForEachGoldenModel([](const char* name, CadrlRecommender* model) {
+    SCOPED_TRACE(name);
+    for (size_t u = 0; u < dataset_->users.size(); u += 2) {
+      const kg::EntityId user = dataset_->users[u];
+      model->set_use_compiled_inference(true);
+      const auto compiled = model->FindPaths(user, 5);
+      model->set_use_compiled_inference(false);
+      const auto tape = model->FindPaths(user, 5);
+      ExpectSamePaths(compiled, tape);
+    }
+    model->set_use_compiled_inference(true);
+  });
 }
 
 TEST_F(CompiledInferenceTest, EvalMetricsMatchTapeExactly) {

@@ -751,16 +751,25 @@ TEST_F(ServeTest, QueueAgedRequestIsShedAndCutsTheLimit) {
 // The early-shed gate: once the ladder floor's p95 is observed (warmed by
 // the first wave's queue-timeout sheds), a request whose entire budget is
 // below it is answered through the fallback right at admission. Runs on
-// the real clock — microscopic budgets are doomed either way, the split
-// between early and queue-timeout sheds is timing-dependent, their sum is
-// not.
+// the virtual clock, so a budget is spent only when the test advances it
+// (an instrumented build's slow Submit cannot early-shed wave 1), and the
+// floor's run time is the latency injected at "serve/floor".
 TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
+  util::VirtualTimeSource clock;
   ServeOptions options = UnitOptions();
   options.manual_pump = true;
+  options.time_source = &clock;
   options.admission.enabled = true;
   options.admission.initial_limit = 64.0;  // not the constraint under test
   RecommendService service(model_, *dataset_, options);
   ASSERT_TRUE(service.Start().ok());
+
+  // Every floor run takes 3 virtual microseconds: its p95 bucket's upper
+  // bound (3us) is above the 1us budgets below.
+  ScopedFailpointSleeper sleeper(
+      [&clock](std::chrono::microseconds d) { clock.Advance(d); });
+  Failpoints::Instance().ArmLatency("serve/floor",
+                                    std::chrono::microseconds{3});
 
   const auto submit_doomed = [&] {
     ServeRequest req;
@@ -776,12 +785,9 @@ TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
     }
   };
 
-  // Warm-up: the process's first Submit runs cold code and can take
-  // several microseconds between building the deadline and checking it,
-  // which alone would spend a 1us budget and early-shed wave 1 below. A
-  // generous-budget request served in full takes that cost and records no
-  // floor sample; it asks for another user so the waves below still find
-  // the last-good cache cold and fall to the popularity floor.
+  // A generous-budget request served in full records no floor sample; it
+  // asks for another user so the waves below still find the last-good
+  // cache cold and fall to the popularity floor.
   ServeRequest warm;
   warm.user = dataset_->users[1];
   warm.k = 5;
@@ -793,18 +799,18 @@ TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
 
   // Wave 1: the floor histogram is cold, so these queue; by drain time
   // their 1us budgets are long gone -> queue-timeout sheds that run the
-  // popularity floor and warm its p95 (>= 1us by round-up).
+  // popularity floor and warm its p95.
   constexpr int kWave1 = 5, kWave2 = 15;
   std::vector<std::future<ServeResponse>> futures;
   for (int i = 0; i < kWave1; ++i) futures.push_back(submit_doomed());
-  std::this_thread::sleep_for(std::chrono::milliseconds{2});
+  clock.Advance(std::chrono::milliseconds{2});
   drain();
   ASSERT_GE(service.admission().snapshot().floor_p95_us, 1);
 
-  // Wave 2: the gate is armed; a 1us budget (minus the nanoseconds burned
-  // reaching the check) falls below the floor p95 and sheds inline.
+  // Wave 2: the gate is armed; a 1us budget falls below the floor p95 and
+  // sheds inline.
   for (int i = 0; i < kWave2; ++i) futures.push_back(submit_doomed());
-  std::this_thread::sleep_for(std::chrono::milliseconds{2});
+  clock.Advance(std::chrono::milliseconds{2});
   drain();
 
   for (auto& f : futures) {
@@ -820,6 +826,9 @@ TEST_F(ServeTest, EarlyShedCatchesBudgetsBelowTheFloor) {
   EXPECT_EQ(stats.early_sheds + stats.queue_timeout_sheds, kWave1 + kWave2);
   EXPECT_GE(stats.queue_timeout_sheds, kWave1);
   EXPECT_GE(stats.early_sheds, 1);
+  // On the virtual clock the split is exact.
+  EXPECT_EQ(stats.queue_timeout_sheds, kWave1);
+  EXPECT_EQ(stats.early_sheds, kWave2);
 }
 
 TEST_F(ServeTest, MetricsTextExposesServingSurface) {
